@@ -9,20 +9,29 @@ stays a single directed edge.
 The text export format ("pdgraph") is deliberately rigid so golden-file
 tests can compare bytes: a header line "# pdgraph n=<n>", a sorted block
 of "D u v" directed lines, then a sorted block of "U u v" undirected lines
-with u < v.  File ids are 1-based; in memory vertices are 0..n-1.
+with u < v.  File ids are 1-based; in memory vertices are 0..n-1.  The
+reader accepts exactly this canonical form and nothing else.
 """
 from __future__ import annotations
 
 import gzip
+import io
 import json
-import math
+import re
+import warnings
 from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matching import VERTEX_DTYPE, MultiGraph
-from .simplify import SimpleGraph
+from .matching import MultiGraph, check_vertex_count
+from .simplify import (
+    SimpleGraph,
+    canonical_violation,
+    dedupe,
+    encode,
+    resolve_arcs,
+)
 
 
 class ParseError(ValueError):
@@ -106,29 +115,19 @@ def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _classify(arcs: np.ndarray, n: int):
-    """Self-drop, dedupe, split into directed / undirected; dense ids in."""
-    if n > 2**31:
-        raise ValueError("ordered-pair codes need n <= 2^31")
+    """Self-drop, dedupe, split into directed / undirected; dense ids in.
+
+    These are the erasure rules (b), (c) and (e) on arcs alone, so the
+    simplifier's kernel does the work.
+    """
+    check_vertex_count(n)
     t, h = arcs[:, 0], arcs[:, 1]
     keep = t != h
-    self_dropped = int(arcs.shape[0] - keep.sum())
-    codes = t[keep] * n + h[keep]
-    uniq = np.unique(codes)
-    dup_dropped = codes.size - uniq.size
-    ut, uh = uniq // n, uniq % n
-    recip = np.isin(uniq, uh * n + ut)
-    und_codes = np.unique(
-        np.minimum(ut[recip], uh[recip]) * n + np.maximum(ut[recip], uh[recip])
-    )
-    dir_codes = uniq[~recip]
-    g = SimpleGraph(
-        n=n,
-        dir_tails=(dir_codes // n).astype(VERTEX_DTYPE),
-        dir_heads=(dir_codes % n).astype(VERTEX_DTYPE),
-        und_u=(und_codes // n).astype(VERTEX_DTYPE),
-        und_v=(und_codes % n).astype(VERTEX_DTYPE),
-    )
-    return g, self_dropped, dup_dropped
+    kept = int(keep.sum())
+    unique = dedupe(encode(t[keep], h[keep], n))
+    dir_codes, und_codes, _, _ = resolve_arcs(unique, unique[:0], n)
+    g = SimpleGraph.from_codes(n, dir_codes, und_codes)
+    return g, arcs.shape[0] - kept, kept - unique.size
 
 
 def to_partially_directed(raw: RawArcList) -> tuple[SimpleGraph, IngestStats]:
@@ -159,18 +158,27 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 # pdgraph text format
 # ---------------------------------------------------------------------------
 
+_WRITE_ROWS = 1 << 12
+# one body line of the canonical form; ids are decimal without leading zeros
+_LINE = re.compile(rb"[DU] [1-9][0-9]{0,9} [1-9][0-9]{0,9}")
+_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
+
+
+def _write_block(fh, tag: str, first: np.ndarray, second: np.ndarray) -> None:
+    """One "<tag> a b" line per pair, ids shifted to 1-based, one format
+    operation per chunk of rows."""
+    for i in range(0, first.size, _WRITE_ROWS):
+        ids = np.stack([first[i:i + _WRITE_ROWS], second[i:i + _WRITE_ROWS]],
+                       axis=1).astype(np.int64) + 1
+        fh.write((f"{tag} %d %d\n" * ids.shape[0]) % tuple(ids.ravel().tolist()))
+
+
 def write_pdgraph(g: SimpleGraph, path) -> None:
     """Canonical text export; byte-stable for identical graphs."""
     with open(path, "w") as fh:
         fh.write(f"# pdgraph n={g.n}\n")
-        fh.writelines(
-            f"D {t + 1} {h + 1}\n"
-            for t, h in zip(g.dir_tails.tolist(), g.dir_heads.tolist())
-        )
-        fh.writelines(
-            f"U {u + 1} {v + 1}\n"
-            for u, v in zip(g.und_u.tolist(), g.und_v.tolist())
-        )
+        _write_block(fh, "D", g.dir_tails, g.dir_heads)
+        _write_block(fh, "U", g.und_u, g.und_v)
 
 
 def dump_multigraph(mg: MultiGraph, path) -> None:
@@ -182,75 +190,90 @@ def dump_multigraph(mg: MultiGraph, path) -> None:
             f"# leftover_und={mg.leftover_und} leftover_in={mg.leftover_in} "
             f"leftover_out={mg.leftover_out}\n"
         )
-        fh.writelines(
-            f"D {t + 1} {h + 1}\n"
-            for t, h in zip(mg.arc_tails.tolist(), mg.arc_heads.tolist())
-        )
-        fh.writelines(
-            f"U {u + 1} {v + 1}\n"
-            for u, v in zip(mg.und_u.tolist(), mg.und_v.tolist())
-        )
+        _write_block(fh, "D", mg.arc_tails, mg.arc_heads)
+        _write_block(fh, "U", mg.und_u, mg.und_v)
+
+
+def _tokenize(body: bytes):
+    """(tag bytes, (L, 2) ids) of a body whose every line matches _LINE,
+    else None.
+
+    One fromstring pass parses all ids.  The layout they imply (tag,
+    space, the digits of u, space, the digits of v, newline per line) must
+    span the body exactly, with a tag, a space or a newline at each of its
+    4L separator offsets.  That leaves the body exactly sum(digits) other
+    bytes, and the parsed ids were written with at least that many digits,
+    so every other byte is a digit of a canonical numeral.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            ids = np.fromstring(body.translate(None, b"DU"), dtype=np.int64, sep=" ")
+    except (DeprecationWarning, ValueError):
+        return None
+    if ids.size % 2 or (ids.size and ids.min() < 1):
+        return None
+    ids = ids.reshape(-1, 2)
+    digits = np.searchsorted(_POW10, ids, side="right") + 1
+    width = digits[:, 0] + digits[:, 1] + 4
+    ends = np.cumsum(width) - 1
+    if len(body) != (int(ends[-1]) + 1 if ends.size else 0):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    starts = ends - width + 1
+    tags = buf[starts]
+    if (((tags != ord("D")) & (tags != ord("U"))).any()
+            or (buf[starts + 1] != ord(" ")).any()
+            or (buf[starts + 2 + digits[:, 0]] != ord(" ")).any()
+            or (buf[ends] != ord("\n")).any()):
+        return None
+    return tags, ids
 
 
 def read_pdgraph(path) -> SimpleGraph:
     """Read a pdgraph file back; exact inverse of write_pdgraph.
 
     Ids are taken literally (1-based in the file, minus one in memory) and
-    the header fixes n, so isolated vertices survive the round trip.  U
-    lines count as a reciprocal arc pair, D lines as a single arc, and the
-    usual classification then reproduces the graph.
+    the header fixes n, so isolated vertices survive the round trip.  Only
+    the canonical form write_pdgraph emits is accepted: after the header,
+    "D u v" lines then "U u v" lines, single spaces, no blank or comment
+    lines, ids in 1..n, each block strictly ascending, u < v, no self-loop,
+    no reciprocal arc pair and no arc parallel to an undirected edge.  Any
+    other file raises ParseError naming the offending line.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "replace").rstrip("\n")
         if header.startswith("# pdgraph multigraph"):
             raise ParseError("line 1: multigraph debug dump, not a simple graph")
         if not header.startswith("# pdgraph n="):
             raise ParseError("line 1: missing '# pdgraph n=<n>' header")
         try:
             n = int(header.split("=", 1)[1])
-        except ValueError:
-            raise ParseError("line 1: malformed vertex count") from None
-        if n < 0:
-            raise ParseError("line 1: negative vertex count")
-        src = array("q")
-        dst = array("q")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3 or parts[0] not in ("D", "U"):
-                raise ParseError(
-                    f"line {lineno}: expected 'D u v' or 'U u v', got {line.rstrip()!r}"
-                )
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: expected integer ids, got {line.rstrip()!r}"
-                ) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
-            src.append(u - 1)
-            dst.append(v - 1)
-            if parts[0] == "U":
-                src.append(v - 1)
-                dst.append(u - 1)
-    arcs = np.empty((len(src), 2), dtype=np.int64)
-    arcs[:, 0] = np.frombuffer(src, dtype=np.int64) if src else 0
-    arcs[:, 1] = np.frombuffer(dst, dtype=np.int64) if dst else 0
-    g, _, _ = _classify(arcs, n)
-    return g
-
-
-def stats_of(g: SimpleGraph, *, self_arcs=0, duplicates=0) -> IngestStats:
-    """IngestStats view of an existing graph (drop counters optional)."""
-    total = g.num_directed + g.num_undirected
-    return IngestStats(
-        n=g.n,
-        directed=g.num_directed,
-        undirected=g.num_undirected,
-        proportion_directed=g.num_directed / total if total else 0.0,
-        self_arcs_dropped=self_arcs,
-        duplicates_dropped=duplicates,
-    )
+            check_vertex_count(n)
+        except ValueError as exc:
+            raise ParseError(f"line 1: bad vertex count: {exc}") from None
+        body = fh.read()
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    tokens = _tokenize(body)
+    if tokens is None:
+        for lineno, line in enumerate(io.BytesIO(body), start=2):
+            if not _LINE.fullmatch(line[:-1]):
+                raise ParseError(f"line {lineno}: expected 'D u v' or 'U u v', "
+                                 f"got {line[:-1].decode('utf-8', 'replace')!r}")
+    tags, ids = tokens
+    n_dir = int(np.count_nonzero(tags == ord("D")))
+    early_u = np.flatnonzero(tags[:n_dir] != ord("D"))
+    if early_u.size:
+        raise ParseError(f"line {int(early_u[0]) + 2}: U line before a D line")
+    outside = (ids > n).any(axis=1)
+    if outside.any():
+        raise ParseError(f"line {int(outside.argmax()) + 2}: vertex id outside 1..{n}")
+    ids -= 1
+    codes = ids[:, 0] * n + ids[:, 1]
+    bad = canonical_violation(n, codes[:n_dir], codes[n_dir:])
+    if bad:
+        message, block, row = bad
+        lineno = row + 2 + (n_dir if block == "U" else 0)
+        raise ParseError(f"line {lineno}: {message}")
+    return SimpleGraph.from_codes(n, codes[:n_dir], codes[n_dir:])

@@ -21,6 +21,18 @@ from .rng import make_generator
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
 
+# the simplifier, the ingester and the pdgraph reader encode a vertex pair
+# (a, b) as the int64 code a * n + b, which needs n * n <= 2^62
+MAX_VERTICES = 2**31
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES, the limit of the
+    int64 pair codes."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"{n} vertices: the limit is 0..{MAX_VERTICES}, "
+                         "because vertex pairs are encoded as one int64 each")
+
 
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
@@ -186,8 +198,7 @@ def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:
     equally likely.
     """
     n = seq.n
-    if n > 2**32:
-        raise ValueError("vertex ids are stored as 32-bit integers")
+    check_vertex_count(n)
     in_stubs, out_stubs, und_stubs = _stub_owners(seq)
     shuffled_und, shuffled_dir = _shuffle_stubs(
         make_generator(seed), in_stubs, out_stubs, und_stubs)
@@ -223,8 +234,7 @@ def match_stubs_union(seq: DegreeSequence, seeds) -> MultiGraph:
     ``match_stubs(seq, seeds[j])`` would.
     """
     n, reps = seq.n, len(seeds)
-    if reps * n > 2**32:
-        raise ValueError("vertex ids are stored as 32-bit integers")
+    check_vertex_count(reps * n)
     in_stubs, out_stubs, und_stubs = _stub_owners(seq)
     longer = max(in_stubs.size, out_stubs.size)
     shuffled_und = np.empty((reps, und_stubs.size), dtype=VERTEX_DTYPE)

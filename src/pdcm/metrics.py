@@ -64,12 +64,25 @@ class DegreeCensus:
 
 
 def census_from_triples(triples) -> DegreeCensus:
+    """Count the distinct rows by sorting one int64 code per triple.
+
+    The code is the row in mixed radix over the column maxima; rows that
+    do not fit it (a negative entry, or maxima whose product overflows
+    int64) are sorted row-wise instead.
+    """
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    uniq, counts = np.unique(arr, axis=0, return_counts=True)
-    table = {
-        DegreeTriple(int(a), int(b), int(c)): int(k)
-        for (a, b, c), k in zip(uniq, counts)
-    }
+    span = arr.max(axis=0, initial=0) + 1
+    if arr.min(initial=0) >= 0 and int(span[0]) * int(span[1]) * int(span[2]) < 2**63:
+        codes = np.sort((arr[:, 0] * span[1] + arr[:, 1]) * span[2] + arr[:, 2])
+        ab, c = np.divmod(codes, span[2])
+        rows = np.stack([*np.divmod(ab, span[1]), c], axis=1)
+    else:
+        rows = arr[np.lexsort(arr.T[::-1])]
+    new = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.append(rows.shape[0] > 0, new))
+    counts = np.diff(np.append(starts, rows.shape[0]))
+    table = {DegreeTriple(*row): k
+             for row, k in zip(rows[starts].tolist(), counts.tolist())}
     return DegreeCensus(counts=table, n=arr.shape[0])
 
 

@@ -13,10 +13,10 @@ by (e) can never duplicate an existing undirected edge, because after (c)
 each ordered pair appears at most once and after (d) no surviving arc is
 parallel to an undirected edge.
 
-Two implementations produce bit-identical results: a pure-Python path for
-tiny graphs (cheaper than numpy's per-call overhead, which dominates at a
-dozen edges) and a vectorized path for everything else.  A property test
-drives both on the same inputs.
+Every rule runs on sorted int64 pair codes, a * n + b for the pair (a, b):
+dedupe is a sort plus an adjacent-difference mask, membership a binary
+search of sorted queries, both far faster than numpy's hash-based
+unique/isin on int64.  The ingester and the pdgraph reader share them.
 """
 from __future__ import annotations
 
@@ -25,10 +25,105 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matching import VERTEX_DTYPE, MultiGraph
+from .matching import VERTEX_DTYPE, MultiGraph, check_vertex_count
 
-_SMALL_EDGES = 128
-_SMALL_N = 64
+
+def encode(a, b, n: int) -> np.ndarray:
+    """int64 codes a * n + b of the pairs (a[i], b[i])."""
+    codes = a.astype(np.int64)
+    codes *= n
+    codes += b
+    return codes
+
+
+def run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted s that differ from their predecessor."""
+    starts = np.empty(s.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    return starts
+
+
+def dedupe(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of codes, which are sorted in place."""
+    codes.sort()
+    return codes[run_starts(codes)]
+
+
+def member(queries: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Mask of the queries found in ref (sorted, distinct).
+
+    Correct for any query order, but fast only for sorted queries: the
+    binary searches then walk ref in one direction.
+    """
+    if ref.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    at = np.searchsorted(ref, queries)
+    np.minimum(at, ref.size - 1, out=at)
+    return ref[at] == queries
+
+
+def _unordered_pairs(dir_codes: np.ndarray, und_codes: np.ndarray, n: int):
+    """The arcs' sorted unordered-pair codes min * n + max, with masks of
+    the pairs also present as an undirected edge and of each pair that
+    repeats its predecessor (the second arc of a reciprocal pair, when
+    the arcs are distinct).
+
+    For ids below n, t < h exactly when t * n + h < h * n + t, so the
+    smaller of an arc's code and its reverse's is the pair code.
+    """
+    t, pairs = np.divmod(dir_codes, n)
+    pairs *= n
+    pairs += t
+    del t
+    np.minimum(pairs, dir_codes, out=pairs)
+    pairs.sort()
+    return pairs, member(pairs, und_codes), ~run_starts(pairs)
+
+
+def resolve_arcs(dir_codes: np.ndarray, und_codes: np.ndarray, n: int):
+    """Rules (d) and (e) on sorted distinct arc and undirected-edge codes.
+
+    Returns ``(arc codes, undirected codes, erased by (d), pairs converted
+    by (e))``; both code arrays come back sorted.
+    """
+    pairs, parallel, twin = _unordered_pairs(dir_codes, und_codes, n)
+    converted = pairs[twin & ~parallel]
+    erased = pairs[parallel | twin]
+    lo, hi = np.divmod(erased, n)
+    erased_arcs = np.sort(np.concatenate([erased, hi * n + lo]))
+    kept = dir_codes[~member(dir_codes, erased_arcs)]
+    merged = np.insert(und_codes, np.searchsorted(und_codes, converted), converted)
+    return kept, merged, int(parallel.sum()), converted.size
+
+
+def canonical_violation(n: int, dir_codes: np.ndarray, und_codes: np.ndarray):
+    """The first broken simplicity invariant of a graph in stored order.
+
+    Returns None, or ``(message, block, row)``: block is "D" for the arcs
+    and "U" for the undirected edges, row the offending position in it.
+    """
+    t, h = np.divmod(dir_codes, n)
+    u, v = np.divmod(und_codes, n)
+    for message, block, bad in (
+        ("directed self-loop", "D", t == h),
+        ("undirected edge needs u < v", "U", u >= v),
+        ("directed edges unsorted or duplicated", "D",
+         np.append(False, dir_codes[1:] <= dir_codes[:-1])),
+        ("undirected edges unsorted or duplicated", "U",
+         np.append(False, und_codes[1:] <= und_codes[:-1])),
+    ):
+        if bad.any():
+            return message, block, int(bad.argmax())
+    pairs, parallel, twin = _unordered_pairs(dir_codes, und_codes, n)
+    for message, found in (("reciprocal directed pair", pairs[twin]),
+                           ("directed edge parallel to an undirected edge",
+                            pairs[parallel])):
+        if found.size:
+            lo, hi = divmod(int(found[0]), n)
+            rows = np.flatnonzero((dir_codes == lo * n + hi) | (dir_codes == hi * n + lo))
+            return message, "D", int(rows[-1])
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +134,8 @@ class SimpleGraph:
     stored with u < v.  Both lists are lexicographically sorted and free of
     duplicates.  The constructor canonicalizes order; deeper invariants
     (no reciprocal arcs, no arc parallel to an undirected edge) are checked
-    by validate_simple_graph.
+    by validate_simple_graph.  ``from_codes`` is the trusted constructor
+    the pipeline uses.
     """
 
     n: int
@@ -49,21 +145,10 @@ class SimpleGraph:
     und_v: np.ndarray
 
     def __post_init__(self):
-        try:
-            m = len(self.dir_tails) + len(self.und_u)
-        except TypeError:
-            m = _SMALL_EDGES + 1
-        if m <= _SMALL_EDGES:
-            self._init_small()
-        else:
-            self._init_arrays()
-
-    def _init_arrays(self):
         n = self.n
-        t = np.ascontiguousarray(self.dir_tails, dtype=VERTEX_DTYPE)
-        h = np.ascontiguousarray(self.dir_heads, dtype=VERTEX_DTYPE)
-        u = np.ascontiguousarray(self.und_u, dtype=VERTEX_DTYPE)
-        v = np.ascontiguousarray(self.und_v, dtype=VERTEX_DTYPE)
+        check_vertex_count(n)
+        t, h, u, v = (np.ascontiguousarray(x, dtype=VERTEX_DTYPE) for x in (
+            self.dir_tails, self.dir_heads, self.und_u, self.und_v))
         if t.shape != h.shape or u.shape != v.shape:
             raise ValueError("edge arrays must align")
         if (t == h).any():
@@ -73,59 +158,33 @@ class SimpleGraph:
         for arr in (t, h, u, v):
             if arr.size and int(arr.max()) >= n:
                 raise ValueError("vertex id out of range")
-        u, v = np.minimum(u, v), np.maximum(u, v)
-        dcode = t.astype(np.int64) * n + h
-        dorder = np.argsort(dcode)
-        ucode = u.astype(np.int64) * n + v
-        uorder = np.argsort(ucode)
-        if np.any(np.diff(dcode[dorder]) == 0):
-            raise ValueError("duplicate directed edge")
-        if np.any(np.diff(ucode[uorder]) == 0):
-            raise ValueError("duplicate undirected edge")
-        object.__setattr__(self, "dir_tails", t[dorder])
-        object.__setattr__(self, "dir_heads", h[dorder])
-        object.__setattr__(self, "und_u", u[uorder])
-        object.__setattr__(self, "und_v", v[uorder])
+        dcode = np.sort(encode(t, h, n))
+        ucode = np.sort(encode(np.minimum(u, v), np.maximum(u, v), n))
+        for codes, kind in ((dcode, "directed"), (ucode, "undirected")):
+            if not run_starts(codes).all():
+                raise ValueError(f"duplicate {kind} edge")
+        self._set_codes(dcode, ucode)
 
-    def _init_small(self):
-        # plain-Python twin of _init_arrays: same checks in the same order,
-        # same canonical result, without per-call numpy overhead on graphs
-        # of a few edges (notably the Monte Carlo replicate loop)
-        n = self.n
+    @classmethod
+    def from_codes(cls, n: int, dir_codes, und_codes) -> "SimpleGraph":
+        """Trusted constructor: no checks, no sorting.
 
-        def aslist(x):
-            return x.tolist() if isinstance(x, np.ndarray) else list(x)
+        ``dir_codes`` must be sorted distinct arc codes ``t * n + h`` and
+        ``und_codes`` sorted distinct codes ``u * n + v`` with u < v, as
+        the erasure rules and the pdgraph reader produce them.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        g._set_codes(dir_codes, und_codes)
+        return g
 
-        t, h, u, v = map(aslist, (self.dir_tails, self.dir_heads,
-                                  self.und_u, self.und_v))
-        if len(t) != len(h) or len(u) != len(v):
-            raise ValueError("edge arrays must align")
-        for a, b in zip(t, h):
-            if a == b:
-                raise ValueError("directed self-loop")
-        for a, b in zip(u, v):
-            if a == b:
-                raise ValueError("undirected self-loop")
-        for lst in (t, h, u, v):
-            if lst and not 0 <= min(lst) <= max(lst) < n:
-                raise ValueError("vertex id out of range")
-        dir_pairs = sorted(zip(t, h))
-        und_pairs = sorted((a, b) if a < b else (b, a) for a, b in zip(u, v))
-        for i in range(1, len(dir_pairs)):
-            if dir_pairs[i] == dir_pairs[i - 1]:
-                raise ValueError("duplicate directed edge")
-        for i in range(1, len(und_pairs)):
-            if und_pairs[i] == und_pairs[i - 1]:
-                raise ValueError("duplicate undirected edge")
-        md, mu = len(dir_pairs), len(und_pairs)
-        object.__setattr__(self, "dir_tails", np.fromiter(
-            (p[0] for p in dir_pairs), dtype=VERTEX_DTYPE, count=md))
-        object.__setattr__(self, "dir_heads", np.fromiter(
-            (p[1] for p in dir_pairs), dtype=VERTEX_DTYPE, count=md))
-        object.__setattr__(self, "und_u", np.fromiter(
-            (p[0] for p in und_pairs), dtype=VERTEX_DTYPE, count=mu))
-        object.__setattr__(self, "und_v", np.fromiter(
-            (p[1] for p in und_pairs), dtype=VERTEX_DTYPE, count=mu))
+    def _set_codes(self, dir_codes, und_codes):
+        for (first, second), codes in ((("dir_tails", "dir_heads"), dir_codes),
+                                       (("und_u", "und_v"), und_codes)):
+            a, b = np.empty((2, codes.size), dtype=VERTEX_DTYPE)
+            np.divmod(codes, self.n, out=(a, b), casting="unsafe")
+            object.__setattr__(self, first, a)
+            object.__setattr__(self, second, b)
 
     @property
     def num_directed(self) -> int:
@@ -169,26 +228,10 @@ class SimpleGraph:
 
 def validate_simple_graph(g: SimpleGraph) -> None:
     """Raise ValueError if g breaks any simplicity invariant."""
-    n = g.n
-    dcode = g.dir_tails.astype(np.int64) * n + g.dir_heads
-    ucode = g.und_u.astype(np.int64) * n + g.und_v
-    if (g.dir_tails == g.dir_heads).any() or (g.und_u == g.und_v).any():
-        raise ValueError("self-loop present")
-    if dcode.size > 1 and np.any(np.diff(dcode) <= 0):
-        raise ValueError("directed edges unsorted or duplicated")
-    if ucode.size > 1 and np.any(np.diff(ucode) <= 0):
-        raise ValueError("undirected edges unsorted or duplicated")
-    if (g.und_u > g.und_v).any():
-        raise ValueError("undirected pair not normalized")
-    rev = g.dir_heads.astype(np.int64) * n + g.dir_tails
-    if np.isin(dcode, rev).any():
-        raise ValueError("reciprocal directed pair present")
-    norm = (
-        np.minimum(g.dir_tails, g.dir_heads).astype(np.int64) * n
-        + np.maximum(g.dir_tails, g.dir_heads)
-    )
-    if np.isin(norm, ucode).any():
-        raise ValueError("directed edge parallel to an undirected edge")
+    bad = canonical_violation(g.n, encode(g.dir_tails, g.dir_heads, g.n),
+                              encode(g.und_u, g.und_v, g.n))
+    if bad:
+        raise ValueError(bad[0])
 
 
 @dataclass(frozen=True)
@@ -223,84 +266,6 @@ class ErasureReport:
         )
 
 
-def _simplify_small(mg: MultiGraph):
-    """Set-based rules for tiny graphs; mirrors _simplify_arrays exactly."""
-    arcs = list(zip(mg.arc_tails.tolist(), mg.arc_heads.tolist()))
-    unds = list(zip(mg.und_u.tolist(), mg.und_v.tolist()))
-
-    kept_arcs = [(t, h) for t, h in arcs if t != h]
-    self_dir = len(arcs) - len(kept_arcs)
-    kept_unds = [(u, v) for u, v in unds if u != v]
-    self_und = len(unds) - len(kept_unds)
-
-    dir_set = set(kept_arcs)
-    parallel_dir = len(kept_arcs) - len(dir_set)
-    und_set = set(kept_unds)
-    parallel_und = len(kept_unds) - len(und_set)
-
-    survivors = {
-        (t, h) for t, h in dir_set
-        if ((t, h) if t < h else (h, t)) not in und_set
-    }
-    dir_parallel = len(dir_set) - len(survivors)
-
-    recip = {(t, h) for t, h in survivors if (h, t) in survivors}
-    converted = {(t, h) if t < h else (h, t) for t, h in recip}
-    final_dir = sorted(survivors - recip)
-    final_und = sorted(und_set | converted)
-
-    return (
-        self_dir, self_und, parallel_dir, parallel_und, dir_parallel,
-        len(recip) // 2, final_dir, final_und,
-    )
-
-
-def _simplify_arrays(mg: MultiGraph):
-    n = mg.n
-    if n > 2**31:
-        raise ValueError("array path encodes ordered pairs in 64 bits")
-    t, h = mg.arc_tails, mg.arc_heads
-    loop = t == h
-    self_dir = int(loop.sum())
-    dcode = t.astype(np.int64)[~loop] * n + h[~loop]
-
-    u, v = mg.und_u, mg.und_v
-    loop_u = u == v
-    self_und = int(loop_u.sum())
-    ucode = u.astype(np.int64)[~loop_u] * n + v[~loop_u]
-
-    dcode_unique = np.unique(dcode)
-    parallel_dir = dcode.size - dcode_unique.size
-    ucode_unique = np.unique(ucode)
-    parallel_und = ucode.size - ucode_unique.size
-
-    dt = dcode_unique // n
-    dh = dcode_unique % n
-    norm = np.minimum(dt, dh) * n + np.maximum(dt, dh)
-    parallel_mask = np.isin(norm, ucode_unique, assume_unique=False)
-    dir_parallel = int(parallel_mask.sum())
-    dcode_unique = dcode_unique[~parallel_mask]
-
-    dt = dcode_unique // n
-    dh = dcode_unique % n
-    rev = dh * n + dt
-    recip_mask = np.isin(dcode_unique, rev)
-    pairs = int(recip_mask.sum()) // 2
-    new_und = np.unique(
-        np.minimum(dt[recip_mask], dh[recip_mask]) * n
-        + np.maximum(dt[recip_mask], dh[recip_mask])
-    )
-    final_dcode = dcode_unique[~recip_mask]
-    final_ucode = np.sort(np.concatenate([ucode_unique, new_und]))
-
-    final_dir = list(zip((final_dcode // n).tolist(), (final_dcode % n).tolist()))
-    final_und = list(zip((final_ucode // n).tolist(), (final_ucode % n).tolist()))
-    return (
-        self_dir, self_und, parallel_dir, parallel_und, dir_parallel,
-        pairs, final_dir, final_und,
-    )
-
-
 def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     """Apply rules (a)-(e) in order; return the simple graph and the counts.
 
@@ -308,29 +273,17 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     the drawn one, so a reciprocal conversion marks all involved vertices
     as modified even though their total stub count is unchanged.
     """
-    small = mg.n <= _SMALL_N and (mg.n_arcs + mg.n_und_edges) <= _SMALL_EDGES
-    impl = _simplify_small if small else _simplify_arrays
-    (self_dir, self_und, parallel_dir, parallel_und, dir_parallel,
-     pairs, final_dir, final_und) = impl(mg)
-
-    if small:
-        g = SimpleGraph(
-            n=mg.n,
-            dir_tails=[p[0] for p in final_dir],
-            dir_heads=[p[1] for p in final_dir],
-            und_u=[p[0] for p in final_und],
-            und_v=[p[1] for p in final_und],
-        )
-    else:
-        dir_arr = np.array(final_dir, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        und_arr = np.array(final_und, dtype=VERTEX_DTYPE).reshape(-1, 2)
-        g = SimpleGraph(
-            n=mg.n,
-            dir_tails=dir_arr[:, 0],
-            dir_heads=dir_arr[:, 1],
-            und_u=und_arr[:, 0],
-            und_v=und_arr[:, 1],
-        )
+    n = mg.n
+    check_vertex_count(n)
+    loop = mg.arc_tails == mg.arc_heads
+    loop_u = mg.und_u == mg.und_v
+    self_dir, self_und = int(loop.sum()), int(loop_u.sum())
+    dir_codes = dedupe(encode(mg.arc_tails[~loop], mg.arc_heads[~loop], n))
+    und_codes = dedupe(encode(mg.und_u[~loop_u], mg.und_v[~loop_u], n))
+    parallel_dir = mg.n_arcs - self_dir - dir_codes.size
+    parallel_und = mg.n_und_edges - self_und - und_codes.size
+    dir_codes, und_codes, dir_parallel, pairs = resolve_arcs(dir_codes, und_codes, n)
+    g = SimpleGraph.from_codes(n, dir_codes, und_codes)
     modified = int((g.degree_triples() != mg.source_degrees.triples).any(axis=1).sum())
     report = ErasureReport(
         unconnected_und=mg.leftover_und,

@@ -190,3 +190,73 @@ def monte_carlo_reference(spec, replicates, seed):
         hits += g.degree_triples()[0].tolist() == drawn
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
+
+
+def simplify_reference(mg):
+    """Rules (b)-(e) on Python sets, in the documented order.
+
+    Returns ``(self_dir, self_und, parallel_dir, parallel_und,
+    dir_parallel, pairs, final_dir, final_und)`` with both final edge
+    lists sorted; the simplifier must agree with it exactly.
+    """
+    arcs = list(zip(mg.arc_tails.tolist(), mg.arc_heads.tolist()))
+    unds = list(zip(mg.und_u.tolist(), mg.und_v.tolist()))
+
+    kept_arcs = [(t, h) for t, h in arcs if t != h]
+    self_dir = len(arcs) - len(kept_arcs)
+    kept_unds = [(u, v) for u, v in unds if u != v]
+    self_und = len(unds) - len(kept_unds)
+
+    dir_set = set(kept_arcs)
+    parallel_dir = len(kept_arcs) - len(dir_set)
+    und_set = set(kept_unds)
+    parallel_und = len(kept_unds) - len(und_set)
+
+    survivors = {
+        (t, h) for t, h in dir_set
+        if ((t, h) if t < h else (h, t)) not in und_set
+    }
+    dir_parallel = len(dir_set) - len(survivors)
+
+    recip = {(t, h) for t, h in survivors if (h, t) in survivors}
+    converted = {(t, h) if t < h else (h, t) for t, h in recip}
+    final_dir = sorted(survivors - recip)
+    final_und = sorted(und_set | converted)
+
+    return (
+        self_dir, self_und, parallel_dir, parallel_und, dir_parallel,
+        len(recip) // 2, final_dir, final_und,
+    )
+
+
+def simple_graph_reference(n, tails, heads, us, vs):
+    """What ``SimpleGraph(n, tails, heads, us, vs)`` must do, in plain Python.
+
+    The same checks in the same order; returns ``("err", message)`` or
+    ``("ok", directed pairs, undirected pairs, degree triples)`` as sorted
+    lists.
+    """
+    t, h, u, v = map(list, (tails, heads, us, vs))
+    if len(t) != len(h) or len(u) != len(v):
+        return ("err", "edge arrays must align")
+    if any(a == b for a, b in zip(t, h)):
+        return ("err", "directed self-loop")
+    if any(a == b for a, b in zip(u, v)):
+        return ("err", "undirected self-loop")
+    for lst in (t, h, u, v):
+        if lst and not 0 <= min(lst) <= max(lst) < n:
+            return ("err", "vertex id out of range")
+    dir_pairs = sorted(zip(t, h))
+    und_pairs = sorted((a, b) if a < b else (b, a) for a, b in zip(u, v))
+    if len(set(dir_pairs)) < len(dir_pairs):
+        return ("err", "duplicate directed edge")
+    if len(set(und_pairs)) < len(und_pairs):
+        return ("err", "duplicate undirected edge")
+    deg = [[0, 0, 0] for _ in range(n)]
+    for a, b in dir_pairs:
+        deg[b][0] += 1
+        deg[a][1] += 1
+    for a, b in und_pairs:
+        deg[a][2] += 1
+        deg[b][2] += 1
+    return ("ok", [list(p) for p in dir_pairs], [list(p) for p in und_pairs], deg)

@@ -1,5 +1,6 @@
 """Front-end behaviour: flags, exit codes, output files, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,38 @@ class TestOracle:
         spec.write_text("1 1\n")
         rc, _, err = run(capsys, "oracle", "--spec", str(spec))
         assert rc == 1 and "error" in err
+
+
+class TestOutputPins:
+    """sha256 of output files, recorded before the erasure rules and the
+    pdgraph writer moved onto the sorted pair-code kernel; any change to
+    a random stream, a rule or the file layout moves them."""
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("flags,graph_sha,report_sha", [
+        (("--model", "poisson", "--lambda", "7", "--coupling", "independent"),
+         "b956d924b35dfdc8f504ddfeaf10f65c2e4f04b10f01bab71040be46bfa1a0dc",
+         "473672b46c9c904cf2c02cde73f9041f36c250a9267f56391ca8e1c4c125981c"),
+        (("--model", "scale_free", "--gamma", "2.5", "--coupling", "dependent"),
+         "7401eff2fe6b5d73d22c4d273af99f3f5f81056702247d8e1e4655daa0e26959",
+         "b3d5b6aebde96f4009a779d773b313fdcad259f3725ca4f89d31fa81b3de02b5"),
+    ])
+    def test_generate(self, tmp_path, capsys, flags, graph_sha, report_sha):
+        out, rep = tmp_path / "g.pdgraph", tmp_path / "g.json"
+        rc, _, _ = run(capsys, "generate", *flags, "--n", "5000", "--seed", "11",
+                       "--output", str(out), "--report", str(rep))
+        assert rc == 0
+        assert (self.digest(out), self.digest(rep)) == (graph_sha, report_sha)
+
+    def test_ingest(self, tmp_path, capsys):
+        out = tmp_path / "f.pdgraph"
+        rc, _, _ = run(capsys, "ingest", "--input", FIXTURE, "--output", str(out))
+        assert rc == 0
+        assert self.digest(out) == (
+            "f3d93223396d6a56d535e001ae4c5d4b327425b6f29cf616c39966b63f921006")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from _oracles import random_simple_graph
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
+    _LINE,
     IngestStats,
     ParseError,
+    _classify,
+    _tokenize,
     dump_multigraph,
     ingest_path,
     parse_edge_list,
@@ -157,6 +160,17 @@ class TestFixtureFile:
         assert cs.largest_relative == pytest.approx(5 / 6)
 
 
+CANONICAL_LINE = st.builds("{} {} {}".format, st.sampled_from("DU"),
+                           st.integers(1, 10**10 - 1), st.integers(1, 10**10 - 1))
+
+
+def edit_line(line, at, text):
+    """line with the character at position ``at`` (mod its length + 1)
+    replaced by text; text = "" deletes it."""
+    at %= len(line) + 1
+    return line[:at] + text + line[at + 1:]
+
+
 class TestPdgraphRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -199,6 +213,58 @@ class TestPdgraphRoundTrip:
         with pytest.raises(ParseError, match="line 2"):
             read_pdgraph(path)
 
+    @pytest.mark.parametrize(
+        "body,where,what",
+        [
+            ("D 1 3\nD 1 2\n", "line 3", "unsorted"),
+            ("D 1 2\nU 1 3\nD 2 3\n", "line 3", "U line before a D line"),
+            ("D 1 2\nU 1 3\nU 1 3\n", "line 4", "duplicated"),
+            ("D 1 2\nU 3 2\n", "line 3", "u < v"),
+            ("D 1 3\nD 2 1\nD 3 1\n", "line 4", "reciprocal"),
+            ("D 1 2\nD 3 2\nU 2 3\n", "line 3", "parallel"),
+            ("D 2 2\n", "line 2", "self-loop"),
+            ("D 1 2\n# note\nU 1 3\n", "line 3", "expected 'D u v'"),
+            ("D 1 2\nD 1  3\n", "line 3", "expected 'D u v'"),
+            ("D 1 2\nD 1 03\n", "line 3", "expected 'D u v'"),
+            ("D 1 2\nD 1\t3\n", "line 3", "expected 'D u v'"),
+            ("D 1 2 D 1 3\n", "line 2", "expected 'D u v'"),
+            ("D 0 2\n", "line 2", "expected 'D u v'"),
+        ],
+    )
+    def test_rejects_non_canonical_form(self, tmp_path, body, where, what):
+        """The reader takes only what write_pdgraph emits; a reciprocal D
+        pair, say, is an error rather than an undirected edge."""
+        path = tmp_path / "bad.pdgraph"
+        path.write_text("# pdgraph n=3\n" + body)
+        with pytest.raises(ParseError, match=f"{where}: .*{what}"):
+            read_pdgraph(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        CANONICAL_LINE,
+        st.builds(edit_line, CANONICAL_LINE, st.integers(0, 24), st.sampled_from(
+            ["", " ", "\t", "\n", "D", "U", "0", "7", "+", "x", "#"])),
+    ), max_size=6))
+    def test_tokenizer_takes_exactly_the_line_grammar(self, rows):
+        """The one-pass tokenizer accepts a body exactly when every line
+        matches the canonical line grammar, and then returns its ids."""
+        body = "".join(row + "\n" for row in rows).encode()
+        lines = body.split(b"\n")[:-1]
+        tokens = _tokenize(body)
+        grammatical = all(_LINE.fullmatch(line) for line in lines)
+        assert (tokens is not None) == grammatical
+        if grammatical:
+            assert tokens[1].tolist() == [
+                [int(x) for x in line.split()[1:]] for line in lines]
+
+    def test_vertex_count_checked_at_entry(self, tmp_path):
+        path = tmp_path / "huge.pdgraph"
+        path.write_text(f"# pdgraph n={2**31 + 1}\n")
+        with pytest.raises(ParseError, match="line 1: .*limit"):
+            read_pdgraph(path)
+        with pytest.raises(ValueError, match="limit"):
+            _classify(np.zeros((0, 2), dtype=np.int64), 2**31 + 1)
+
     def test_multigraph_dump_flagged_and_rejected(self, tmp_path):
         mg = match_stubs(
             MultiGraph.from_edges(3, [(0, 1)], [(1, 2)]).source_degrees, seed=4
@@ -228,9 +294,9 @@ SNAP_TABLE = [
 def test_snap_reference_counts(fname, nodes, edges, prop):
     """Published node/edge counts for the two desk-scale reference datasets
     (skipped until scripts/fetch_snap.py has downloaded them)."""
-    path = DATA / fname
+    path = DATA / "snap" / fname
     if not path.exists():
-        pytest.skip(f"data/{fname} not downloaded (see scripts/fetch_snap.py)")
+        pytest.skip(f"data/snap/{fname} not downloaded (see scripts/fetch_snap.py)")
     g, stats = ingest_path(path)
     assert stats.n == nodes
     assert stats.total_edges == edges

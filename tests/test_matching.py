@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcm.degrees import DegreeSequence
-from pdcm.matching import MultiGraph, match_stubs, match_stubs_union
+from pdcm.matching import (
+    MAX_VERTICES,
+    MultiGraph,
+    check_vertex_count,
+    match_stubs,
+    match_stubs_union,
+)
 
 triples_strategy = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -76,6 +82,18 @@ def test_vertex_ids_are_32_bit():
     mg = match_stubs(seq_of([(1, 1, 1), (1, 1, 1)]), seed=3)
     assert mg.arc_tails.dtype == np.uint32
     assert mg.und_u.dtype == np.uint32
+
+
+def test_vertex_count_limit_boundary():
+    """Pair codes a * n + b must fit int64; the limit is checked alone,
+    without allocating a graph anywhere near it."""
+    assert MAX_VERTICES == 2**31
+    check_vertex_count(2**31)
+    with pytest.raises(ValueError, match="limit"):
+        check_vertex_count(2**31 + 1)
+    # the union is refused on its vertex count before any stub is drawn
+    with pytest.raises(ValueError, match="limit"):
+        match_stubs_union(seq_of([(1, 1, 0)] * 3), range(2**30))
 
 
 def test_bijection_uniformity_chi_square():

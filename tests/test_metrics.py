@@ -56,6 +56,20 @@ class TestCensus:
         assert c.frequency((9, 9, 9)) == 0.0
         assert c.support().tolist() == [[0, 0, 2], [1, 0, 0]]
 
+    @pytest.mark.parametrize("extra", [
+        [],
+        [(2**40, 0, 0), (0, 2**40, 0), (0, 0, 2**40)],  # radix overflows int64
+        [(-1, 0, 0)],  # outside the mixed-radix code
+    ])
+    def test_counts_equal_a_dict_count(self, extra):
+        from collections import Counter
+
+        rows = [tuple(r) for r in np.random.default_rng(5).integers(0, 4, (300, 3)).tolist()]
+        rows += extra
+        c = census_from_triples(rows)
+        assert c.counts == dict(Counter(rows))
+        assert list(c.counts) == sorted(c.counts)
+
 
 class TestTotalVariation:
     def test_exact_match_is_zero(self):

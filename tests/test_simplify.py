@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import simple_graph_reference, simplify_reference
 from pdcm.degrees import DegreeSequence, JointDegreeDistribution, sample_sequence
 from pdcm.matching import MultiGraph, match_stubs
 from pdcm.simplify import (
     ErasureReport,
     SimpleGraph,
-    _simplify_arrays,
-    _simplify_small,
     simplify,
     validate_simple_graph,
 )
@@ -73,13 +72,20 @@ class TestIdempotence:
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**31))
-def test_both_paths_agree(n, seed):
-    """The pure-Python and vectorized implementations are interchangeable."""
+def test_kernel_matches_reference(n, seed):
+    """The sorted pair-code kernel agrees with the set-based reference
+    rules: every rule count and both final edge lists."""
     rng = np.random.default_rng(seed)
     arcs = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
     unds = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
     mg = mg_of(n, arcs, unds)
-    assert _simplify_small(mg) == _simplify_arrays(mg)
+    g, r = simplify(mg)
+    assert simplify_reference(mg) == (
+        r.self_loops_dir, r.self_loops_und, r.parallel_dir, r.parallel_und,
+        r.dir_parallel_to_und, r.reciprocal_pairs_converted,
+        [tuple(p) for p in g.directed_pairs().tolist()],
+        [tuple(p) for p in g.undirected_pairs().tolist()],
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,44 +162,24 @@ class TestSimpleGraphType:
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12),
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12),
     )
-    def test_constructor_paths_agree(self, arcs, unds):
-        """The list-based and array-based constructor bodies accept and
-        reject identical inputs and canonicalize to the same arrays.
-        Vertex ids run to 11 against n=10 so out-of-range inputs are
-        exercised too."""
-        import sys
-
-        # the package re-exports the simplify *function*, which shadows the
-        # submodule attribute; go through sys.modules for the module itself
-        sm = sys.modules["pdcm.simplify"]
-
-        def build():
-            try:
-                g = SimpleGraph(
-                    10,
-                    [a for a, _ in arcs],
-                    [b for _, b in arcs],
-                    [u for u, _ in unds],
-                    [v for _, v in unds],
-                )
-            except ValueError as e:
-                return ("err", str(e))
-            return (
+    def test_constructor_matches_reference(self, arcs, unds):
+        """The constructor accepts and rejects exactly what the plain-Python
+        reference does and canonicalizes to the same arrays.  Vertex ids
+        run to 11 against n=10 so out-of-range inputs are exercised too."""
+        columns = ([a for a, _ in arcs], [b for _, b in arcs],
+                   [u for u, _ in unds], [v for _, v in unds])
+        try:
+            g = SimpleGraph(10, *columns)
+        except ValueError as e:
+            got = ("err", str(e))
+        else:
+            got = (
                 "ok",
                 g.directed_pairs().tolist(),
                 g.undirected_pairs().tolist(),
                 g.degree_triples().tolist(),
             )
-
-        saved = sm._SMALL_EDGES
-        try:
-            sm._SMALL_EDGES = 10**9
-            small = build()
-            sm._SMALL_EDGES = -1
-            large = build()
-        finally:
-            sm._SMALL_EDGES = saved
-        assert small == large
+        assert got == simple_graph_reference(10, *columns)
 
 
 def test_report_serializes_to_flat_json():

@@ -17,13 +17,8 @@ import json
 import sys
 
 from .components import strongly_connected_components, write_component_csv
-from .degrees import sample_sequence
-from .experiment import (
-    ExperimentConfig,
-    config_from_mapping,
-    parse_config_file,
-    run_experiment,
-)
+from .degrees import COUPLINGS, MODELS, sample_sequence
+from .experiment import config_from_mapping, parse_config_file, run_experiment
 from .ingest import ingest_path, read_pdgraph, write_pdgraph
 from .matching import match_stubs
 from .rng import derive_seed
@@ -36,14 +31,14 @@ from .simplify import simplify
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("poisson", "scale_free", "empirical"),
+    p.add_argument("--model", choices=MODELS,
                    help="degree model")
     p.add_argument("--lambda", dest="lambda_", type=float, metavar="MEAN",
                    help="poisson mean")
     p.add_argument("--gamma", type=float, help="scale-free exponent (> 2)")
     p.add_argument("--degrees", metavar="FILE",
                    help="degree triple file for --model empirical")
-    p.add_argument("--coupling", choices=("independent", "dependent"),
+    p.add_argument("--coupling", choices=COUPLINGS,
                    help="how in/out/undirected degrees are drawn together")
 
 

@@ -20,7 +20,6 @@ and the synthetic families return (X, X, X) for a single draw X.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -29,7 +28,8 @@ import numpy as np
 
 from .rng import make_generator
 
-KINDS = ("empirical", "scale_free", "poisson")
+# the degree models and couplings, in the order the CLI lists them
+MODELS = ("poisson", "scale_free", "empirical")
 COUPLINGS = ("independent", "dependent")
 
 
@@ -76,14 +76,8 @@ def zeta(s: float) -> float:
 
 
 def _check_gamma(gamma: float) -> None:
-    if gamma <= 1.0:
-        raise ValueError("scale-free exponent gamma must exceed 1")
     if gamma <= 2.0:
-        warnings.warn(
-            "scale-free law with gamma <= 2 has an infinite mean; "
-            "generation works but mean-based results do not apply",
-            stacklevel=3,
-        )
+        raise ValueError("gamma must exceed 2 so the mean degree is finite")
 
 
 @lru_cache(maxsize=None)
@@ -119,57 +113,16 @@ def scale_free_cdf(gamma: float, k):
     return 1.0 - scale_free_sf(gamma, k)
 
 
-def _first_atom(holds) -> int:
-    """Smallest k >= 1 with holds(k), for a predicate monotone in k.
-
-    Exponential bracketing followed by binary search keeps the cost
-    O(log k) even deep in the heavy tail.
-    """
-    hi = 1
-    while not holds(hi):
-        hi *= 2
-    lo = max(1, hi // 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def scale_free_quantile(gamma: float, u: float) -> int:
-    """Smallest k >= 1 with scale_free_cdf(gamma, k) >= u, for u in [0, 1).
-
-    The support starts at 1 (F(0) = 0), so u = 0 maps to 1.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError("quantile argument must lie in [0, 1)")
-    return _first_atom(lambda k: scale_free_cdf(gamma, k) >= u)
-
-
-def scale_free_isf(gamma: float, q: float) -> int:
-    """Smallest k >= 1 with scale_free_sf(gamma, k) <= q, for q in (0, 1].
-
-    The inverse from the tail probability q = P(X > k): unlike the
-    quantile of F, it separates every atom whose S(k) is representable,
-    so it stays exact where F has saturated.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("tail probability must lie in (0, 1]")
-    return _first_atom(lambda k: scale_free_sf(gamma, k) <= q)
-
-
 def _scale_free_bulk(gamma: float, u: np.ndarray) -> np.ndarray:
     """Vectorized quantile for an array of uniforms in [0, 1).
 
     Closed-form inversion k = ceil(d * ((1-u)^(-1/s) - 1)) gives the exact
     answer in real arithmetic; float rounding can put it off by one, so a
     single comparison against the cdf in each direction repairs it.  Agrees
-    with scale_free_quantile element-wise away from u -> 1 (property-tested
-    on u <= 1 - 1e-6); within ~1e-12 of 1 the float cdf saturates onto its
-    last-ulp grid and the bisection answer is no better conditioned than
-    this one, so the cheaper inversion stands.
+    element-wise with the bisection quantile of the cdf away from u -> 1
+    (property-tested on u <= 1 - 1e-6); within ~1e-12 of 1 the float cdf
+    saturates onto its last-ulp grid and bisection is no better conditioned
+    than this inversion, so the cheaper inversion stands.
     """
     d = scale_free_offset(gamma)
     s = gamma - 1.0
@@ -191,8 +144,6 @@ def scale_free_mean(gamma: float) -> float:
     far below 1e-9.  Partial sums of k*p_k are hopeless in comparison: at
     gamma = 2.5 that tail decays like k^-1/2 and would need ~1e18 terms.
     """
-    if gamma <= 2.0:
-        return math.inf
     d = scale_free_offset(gamma)
     s = gamma - 1.0
     return d ** s * hurwitz_zeta(s, d)
@@ -235,8 +186,8 @@ class JointDegreeDistribution:
     triples: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind not in MODELS:
+            raise ValueError(f"unknown kind {self.kind!r}; expected one of {MODELS}")
         if self.coupling not in COUPLINGS:
             raise ValueError(
                 f"unknown coupling {self.coupling!r}; expected one of {COUPLINGS}"
@@ -253,8 +204,7 @@ class JointDegreeDistribution:
         elif self.kind == "scale_free":
             if self.gamma is None:
                 raise ValueError("scale_free distribution needs gamma")
-            if self.gamma <= 2.0:
-                raise ValueError("gamma must exceed 2 so the mean degree is finite")
+            _check_gamma(self.gamma)
         else:
             if self.lam is None or self.lam <= 0.0:
                 raise ValueError("poisson distribution needs lambda > 0")
@@ -366,17 +316,6 @@ def sample_sequence(dist: JointDegreeDistribution, n: int, seed: int) -> DegreeS
     return DegreeSequence(deg)
 
 
-def distribution_mean(dist: JointDegreeDistribution) -> tuple[float, float, float]:
-    """(mean_in, mean_out, mean_und); infinite components signal with inf."""
-    if dist.kind == "empirical":
-        m = dist.triples.mean(axis=0)
-        return (float(m[0]), float(m[1]), float(m[2]))
-    if dist.kind == "poisson":
-        return (dist.lam, dist.lam, dist.lam)
-    m = scale_free_mean(dist.gamma)
-    return (m, m, m)
-
-
 # ---------------------------------------------------------------------------
 # model probabilities of individual triples (used by the distortion metrics)
 # ---------------------------------------------------------------------------
@@ -428,10 +367,11 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
 def load_degree_file(path) -> np.ndarray:
     """Read degree triples from a text file into an (m, 3) int64 array.
 
-    The plain format is one "in out und" line per vertex with '#' starting
-    a comment.  Files in the pdgraph edge format (header line
-    "# pdgraph n=...") are also accepted; the graph is read and its degree
-    triples returned.
+    The one reader of the triple format, for degree files and oracle
+    specs alike: one "in out und" line per vertex, '#' starting a comment,
+    errors as "<path>: line N: <what>".  Files in the pdgraph edge format
+    (header line "# pdgraph n=...") are also accepted; the graph is read
+    and its degree triples returned.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -444,19 +384,16 @@ def load_degree_file(path) -> np.ndarray:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected three integers, got {line.rstrip()!r}"
-                )
             try:
-                triple = [int(p) for p in parts]
+                triple = [int(p) for p in text.split()]
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected three integers, got {line.rstrip()!r}"
-                ) from None
-            if min(triple) < 0:
-                raise ValueError(f"{path}:{lineno}: degrees must be non-negative")
+                triple = []
+            if len(triple) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected three "
+                                 f"integers, got {line.rstrip()!r}")
+            if min(triple) < 0 or max(triple) >= 2**63:
+                raise ValueError(f"{path}: line {lineno}: degrees must be "
+                                 "non-negative and below 2^63")
             rows.append(triple)
     if not rows:
         raise ValueError(f"{path}: no degree triples found")

@@ -18,22 +18,30 @@ their rows kept verbatim; the file is rewritten sorted by (n, seed).
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .degrees import JointDegreeDistribution, load_degree_file, sample_sequence
+from .degrees import (
+    COUPLINGS,
+    MODELS,
+    JointDegreeDistribution,
+    load_degree_file,
+    sample_sequence,
+)
 from .matching import match_stubs
-from .metrics import CSV_COLUMNS, degree_census, erased_per_vertex, total_variation
+from .metrics import (
+    CSV_COLUMNS,
+    degree_census,
+    erased_per_vertex,
+    proportion_directed,
+    total_variation,
+)
 from .rng import derive_seed, replicate_seed
 from .simplify import simplify
 
 #: Fig.-style default grid, log-spaced decades.
 DEFAULT_SIZES = (100, 1_000, 10_000, 100_000, 1_000_000)
-
-MODELS = ("poisson", "scale_free", "empirical")
-COUPLINGS = ("independent", "dependent")
 
 # config-file keys, all optional, mirroring the CLI flag names
 CONFIG_KEYS = (
@@ -151,10 +159,6 @@ def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
     """One replicate: sample degrees, match stubs, simplify, measure."""
     seq = sample_sequence(dist, n, derive_seed(cell_seed, 0))
     g, report = simplify(match_stubs(seq, derive_seed(cell_seed, 1)))
-    if g.num_directed + g.num_undirected > 0:
-        prop = g.num_directed / (g.num_directed + g.num_undirected)
-    else:
-        prop = math.nan
     row = {
         "model": model_label,
         "coupling": coupling,
@@ -164,7 +168,7 @@ def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
         "modified_per_vertex": report.modified_vertices / n,
     }
     row.update(erased_per_vertex(report, n))
-    row["prop_directed"] = prop
+    row["prop_directed"] = proportion_directed(g)
     return row
 
 
@@ -222,7 +226,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
                 log(f"[{done}/{len(pending)}] n={n} seed={cs}")
     else:
         tasks = [(dist, label, config.coupling, n, cs) for n, cs in pending]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pending))) as pool:
             for (n, cs), row in zip(pending, pool.map(_cell_task, tasks)):
                 rows[(n, cs)] = _format_row(row)
                 done += 1

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matching import MultiGraph, check_vertex_count
+from .matching import check_vertex_count
+from .metrics import proportion_directed
 from .simplify import (
     SimpleGraph,
     canonical_violation,
@@ -35,23 +36,19 @@ from .simplify import (
 
 
 class ParseError(ValueError):
-    """Malformed edge-list input; the message carries the line number."""
+    """Malformed edge-list or pdgraph input; the message reads
+    "<path>: line N: <what>"."""
 
 
 @dataclass(frozen=True, eq=False)
 class RawArcList:
-    """Arcs exactly as read (original sparse ids), plus the distinct ids."""
+    """Arcs exactly as read, with their original sparse ids."""
 
     arcs: np.ndarray  # (m, 2) int64, file order
-    node_ids: np.ndarray  # sorted unique ids
 
     @property
     def num_arcs(self) -> int:
         return self.arcs.shape[0]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.node_ids.size
 
 
 @dataclass(frozen=True)
@@ -94,14 +91,14 @@ def parse_edge_list(stream) -> RawArcList:
         try:
             src.append(int(parts[0]))
             dst.append(int(parts[1]))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError(
                 f"line {lineno}: expected two integers, got {line.rstrip()!r}"
             ) from None
     arcs = np.empty((len(src), 2), dtype=np.int64)
     arcs[:, 0] = np.frombuffer(src, dtype=np.int64) if src else 0
     arcs[:, 1] = np.frombuffer(dst, dtype=np.int64) if dst else 0
-    return RawArcList(arcs=arcs, node_ids=np.unique(arcs))
+    return RawArcList(arcs=arcs)
 
 
 def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,12 +131,11 @@ def to_partially_directed(raw: RawArcList) -> tuple[SimpleGraph, IngestStats]:
     """Densify ids, clean the arc list, and classify reciprocal pairs."""
     dense, n = _densify(raw.arcs)
     g, self_dropped, dup_dropped = _classify(dense, n)
-    total = g.num_directed + g.num_undirected
     stats = IngestStats(
         n=n,
         directed=g.num_directed,
         undirected=g.num_undirected,
-        proportion_directed=g.num_directed / total if total else 0.0,
+        proportion_directed=proportion_directed(g),
         self_arcs_dropped=self_dropped,
         duplicates_dropped=dup_dropped,
     )
@@ -150,7 +146,10 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
     """Parse a (possibly gzip-compressed) edge-list file and classify it."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
-        raw = parse_edge_list(fh)
+        try:
+            raw = parse_edge_list(fh)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     return to_partially_directed(raw)
 
 
@@ -179,19 +178,6 @@ def write_pdgraph(g: SimpleGraph, path) -> None:
         fh.write(f"# pdgraph n={g.n}\n")
         _write_block(fh, "D", g.dir_tails, g.dir_heads)
         _write_block(fh, "U", g.und_u, g.und_v)
-
-
-def dump_multigraph(mg: MultiGraph, path) -> None:
-    """Debug export of a raw matching, flagged so readers don't confuse it
-    with a simple graph; duplicates and self-loops appear verbatim."""
-    with open(path, "w") as fh:
-        fh.write(f"# pdgraph multigraph n={mg.n}\n")
-        fh.write(
-            f"# leftover_und={mg.leftover_und} leftover_in={mg.leftover_in} "
-            f"leftover_out={mg.leftover_out}\n"
-        )
-        _write_block(fh, "D", mg.arc_tails, mg.arc_heads)
-        _write_block(fh, "U", mg.und_u, mg.und_v)
 
 
 def _tokenize(body: bytes):
@@ -243,15 +229,13 @@ def read_pdgraph(path) -> SimpleGraph:
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8", "replace").rstrip("\n")
-        if header.startswith("# pdgraph multigraph"):
-            raise ParseError("line 1: multigraph debug dump, not a simple graph")
         if not header.startswith("# pdgraph n="):
-            raise ParseError("line 1: missing '# pdgraph n=<n>' header")
+            raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
         try:
             n = int(header.split("=", 1)[1])
             check_vertex_count(n)
         except ValueError as exc:
-            raise ParseError(f"line 1: bad vertex count: {exc}") from None
+            raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
         body = fh.read()
     if body and not body.endswith(b"\n"):
         body += b"\n"
@@ -259,21 +243,23 @@ def read_pdgraph(path) -> SimpleGraph:
     if tokens is None:
         for lineno, line in enumerate(io.BytesIO(body), start=2):
             if not _LINE.fullmatch(line[:-1]):
-                raise ParseError(f"line {lineno}: expected 'D u v' or 'U u v', "
-                                 f"got {line[:-1].decode('utf-8', 'replace')!r}")
+                raise ParseError(f"{path}: line {lineno}: expected 'D u v' or "
+                                 f"'U u v', got {line[:-1].decode('utf-8', 'replace')!r}")
     tags, ids = tokens
     n_dir = int(np.count_nonzero(tags == ord("D")))
     early_u = np.flatnonzero(tags[:n_dir] != ord("D"))
     if early_u.size:
-        raise ParseError(f"line {int(early_u[0]) + 2}: U line before a D line")
+        raise ParseError(f"{path}: line {int(early_u[0]) + 2}: "
+                         "U line before a D line")
     outside = (ids > n).any(axis=1)
     if outside.any():
-        raise ParseError(f"line {int(outside.argmax()) + 2}: vertex id outside 1..{n}")
+        raise ParseError(f"{path}: line {int(outside.argmax()) + 2}: "
+                         f"vertex id outside 1..{n}")
     ids -= 1
     codes = ids[:, 0] * n + ids[:, 1]
     bad = canonical_violation(n, codes[:n_dir], codes[n_dir:])
     if bad:
         message, block, row = bad
         lineno = row + 2 + (n_dir if block == "U" else 0)
-        raise ParseError(f"line {lineno}: {message}")
+        raise ParseError(f"{path}: line {lineno}: {message}")
     return SimpleGraph.from_codes(n, codes[:n_dir], codes[n_dir:])

@@ -13,6 +13,7 @@ by truncating the tail.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,7 @@ def erased_per_vertex(report: ErasureReport, n: int) -> dict:
 
 
 def proportion_directed(g: SimpleGraph) -> float:
-    """Share of edges that kept a direction, |directed| / |all edges|."""
+    """Share of edges that kept a direction, |directed| / |all edges|;
+    NaN for a graph with no edges."""
     total = g.num_directed + g.num_undirected
-    if total == 0:
-        raise ValueError("direction mix undefined for an empty graph")
-    return g.num_directed / total
+    return g.num_directed / total if total else math.nan

@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
-from .degrees import DegreeSequence, DegreeTriple
+from .degrees import DegreeSequence, DegreeTriple, load_degree_file
 from .matching import match_stubs_union
 from .rng import derive_seed
 from .simplify import simplify
@@ -159,50 +158,10 @@ def exact_save_probability(spec: SaveAttemptSpec) -> Fraction:
     numerator = (math.factorial(d_in) * math.factorial(d_out)
                  * math.factorial(d_und) * coef[d_in][d_out][d_und])
     if numerator == 0:
-        result = Fraction(0)
-    else:
-        den_in, den_out, den_und = _step_denominators(spec)
-        denominator = (math.prod(den_in) * math.prod(den_out)
-                       * math.prod(den_und))
-        result = Fraction(numerator, denominator)
-
-    if __debug__ and spec.n <= 6:
-        # tiny instances are cheap enough to re-derive the long way
-        assert result == _exact_by_enumeration(spec), \
-            "factorized sum disagrees with direct tuple enumeration"
-    return result
-
-
-def _exact_by_enumeration(spec: SaveAttemptSpec) -> Fraction:
-    """Direct sum over every ordered tuple of distinct neighbour indices.
-
-    (n-1)(n-2)...(n-d) terms, so only usable for tiny instances; kept as
-    an independent cross-check of the factorized route.  The first d_in
-    positions of each tuple feed the in-stub chain, the next d_out the
-    out-stub chain, the rest the undirected chain.
-    """
-    d_in, d_out, d_und = spec.target_degree
-    d = d_in + d_out + d_und
-    if d > len(spec.others):
         return Fraction(0)
-
     den_in, den_out, den_und = _step_denominators(spec)
-    denominator = math.prod(den_in) * math.prod(den_out) * math.prod(den_und)
-    outs = [o.out_deg for o in spec.others]
-    ins = [o.in_deg for o in spec.others]
-    unds = [o.und_deg for o in spec.others]
-
-    total = 0
-    for tup in permutations(range(len(spec.others)), d):
-        term = 1
-        for idx in tup[:d_in]:
-            term *= outs[idx]
-        for idx in tup[d_in:d_in + d_out]:
-            term *= ins[idx]
-        for idx in tup[d_in + d_out:]:
-            term *= unds[idx]
-        total += term
-    return Fraction(total, denominator)
+    return Fraction(numerator, math.prod(den_in) * math.prod(den_out)
+                    * math.prod(den_und))
 
 
 def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
@@ -240,32 +199,9 @@ def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
 
 
 def parse_save_spec(path) -> SaveAttemptSpec:
-    """Read a save-attempt file: one 'in out und' triple per line.
-
-    The first non-comment line is the target triple, the rest are the
-    other vertices.  '#' starts a comment; blank lines are skipped.
-    """
-    triples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected three integers, "
-                    f"got {raw.strip()!r}")
-            try:
-                vals = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected three integers, "
-                    f"got {raw.strip()!r}") from None
-            if min(vals) < 0:
-                raise ValueError(
-                    f"{path}: line {lineno}: degrees must be non-negative")
-            triples.append(DegreeTriple(*vals))
+    """Read a save-attempt file through load_degree_file: the first triple
+    is the target, the rest are the other vertices."""
+    triples = load_degree_file(path).tolist()
     if len(triples) < 2:
         raise ValueError(f"{path}: need a target line plus at least one "
                          "other vertex")

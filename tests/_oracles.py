@@ -138,6 +138,45 @@ def enumerate_save_fraction(spec):
     return Fraction(saved, len(dir_outcomes) * len(und_outcomes))
 
 
+def exact_by_enumeration(spec):
+    """Direct sum over every ordered tuple of distinct neighbour indices.
+
+    (n-1)(n-2)...(n-d) terms, so only usable for tiny instances; an
+    independent cross-check of the factorized route in
+    ``exact_save_probability``.  The first d_in positions of each tuple
+    feed the in-stub chain, the next d_out the out-stub chain, the rest
+    the undirected chain.
+    """
+    import math
+    from fractions import Fraction
+    from itertools import permutations
+
+    from pdcm.saveprob import _step_denominators
+
+    d_in, d_out, d_und = spec.target_degree
+    d = d_in + d_out + d_und
+    if d > len(spec.others):
+        return Fraction(0)
+
+    den_in, den_out, den_und = _step_denominators(spec)
+    denominator = math.prod(den_in) * math.prod(den_out) * math.prod(den_und)
+    outs = [o.out_deg for o in spec.others]
+    ins = [o.in_deg for o in spec.others]
+    unds = [o.und_deg for o in spec.others]
+
+    total = 0
+    for tup in permutations(range(len(spec.others)), d):
+        term = 1
+        for idx in tup[:d_in]:
+            term *= outs[idx]
+        for idx in tup[d_in:d_in + d_out]:
+            term *= ins[idx]
+        for idx in tup[d_in + d_out:]:
+            term *= unds[idx]
+        total += term
+    return Fraction(total, denominator)
+
+
 def save_battery(count=10, seed=20260815):
     """Deterministic random save-attempt specs (n <= 6, degrees <= 2).
 
@@ -190,6 +229,52 @@ def monte_carlo_reference(spec, replicates, seed):
         hits += g.degree_triples()[0].tolist() == drawn
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
+
+
+def _first_atom(holds) -> int:
+    """Smallest k >= 1 with holds(k), for a predicate monotone in k.
+
+    Exponential bracketing followed by binary search keeps the cost
+    O(log k) even deep in the heavy tail.
+    """
+    hi = 1
+    while not holds(hi):
+        hi *= 2
+    lo = max(1, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def scale_free_quantile(gamma, u) -> int:
+    """Smallest k >= 1 with scale_free_cdf(gamma, k) >= u, for u in [0, 1),
+    by bisection; the reference for the sampler's closed-form inversion.
+
+    The support starts at 1 (F(0) = 0), so u = 0 maps to 1.
+    """
+    from pdcm.degrees import scale_free_cdf
+
+    if not 0.0 <= u < 1.0:
+        raise ValueError("quantile argument must lie in [0, 1)")
+    return _first_atom(lambda k: scale_free_cdf(gamma, k) >= u)
+
+
+def scale_free_isf(gamma, q) -> int:
+    """Smallest k >= 1 with scale_free_sf(gamma, k) <= q, for q in (0, 1].
+
+    The inverse from the tail probability q = P(X > k): unlike the
+    quantile of F, it separates every atom whose S(k) is representable,
+    so it stays exact where F has saturated.
+    """
+    from pdcm.degrees import scale_free_sf
+
+    if not 0.0 < q <= 1.0:
+        raise ValueError("tail probability must lie in (0, 1]")
+    return _first_atom(lambda k: scale_free_sf(gamma, k) <= q)
 
 
 def simplify_reference(mg):

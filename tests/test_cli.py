@@ -166,10 +166,33 @@ class TestOracle:
         assert rc == 1 and "error" in err
 
 
+@pytest.mark.parametrize("command,flag,text,lineno", [
+    ("components", "--input", "# pdgraph n=3\nD 1 2\nD 1 x\n", 3),
+    ("ingest", "--input", "1 2\n# comment\n3 4 5\n", 3),
+    ("ingest", "--input", "1 2\n3 99999999999999999999\n", 2),
+    ("oracle", "--spec", "1 1 0\n1 1\n", 2),
+    ("experiment", "--degrees", "1 1 0\n\n0 -1 0\n", 3),
+    ("experiment", "--degrees", "1 1 0\n0 0 99999999999999999999\n", 2),
+], ids=["components", "ingest", "ingest-int64", "oracle", "experiment",
+        "experiment-int64"])
+def test_malformed_input_names_file_and_line(tmp_path, capsys, command, flag,
+                                             text, lineno):
+    """Every reader reports "<path>: line N: <what>" and exits 1."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    extra = ("--model", "empirical", "--sizes", "10", "--replicates", "1",
+             "--output", str(tmp_path / "m.csv")) if command == "experiment" else ()
+    rc, _, err = run(capsys, command, flag, str(bad), *extra)
+    assert rc == 1
+    assert f"{bad}: line {lineno}: " in err
+
+
 class TestOutputPins:
-    """sha256 of output files, recorded before the erasure rules and the
-    pdgraph writer moved onto the sorted pair-code kernel; any change to
-    a random stream, a rule or the file layout moves them."""
+    """sha256 of output files and JSON output, recorded on earlier
+    versions of the code (generate and ingest before the sorted pair-code
+    kernel, experiment and oracle before the readers and the direction
+    share were merged); any change to a random stream, a rule or the
+    file layout moves them."""
 
     @staticmethod
     def digest(path):
@@ -196,6 +219,43 @@ class TestOutputPins:
         assert rc == 0
         assert self.digest(out) == (
             "f3d93223396d6a56d535e001ae4c5d4b327425b6f29cf616c39966b63f921006")
+
+    @pytest.mark.parametrize("flags,csv_sha", [
+        (("--model", "empirical", "--degrees", "data/degrees_10k.txt",
+          "--coupling", "dependent", "--sizes", "50,200", "--seed", "3"),
+         "1851aa939d79efe3e98be5767da32d039162a81493a335275d045f8fb7d045c9"),
+        (("--model", "poisson", "--lambda", "5", "--coupling", "independent",
+          "--sizes", "30,60", "--seed", "4"),
+         "1e0a88ea5a70db736a44f486e71fd9880251395ba95cf12e21265039c969fe89"),
+    ])
+    def test_experiment(self, tmp_path, capsys, flags, csv_sha):
+        out = tmp_path / "m.csv"
+        rc, _, _ = run(capsys, "experiment", *flags, "--replicates", "2",
+                       "--output", str(out), "--quiet")
+        assert rc == 0
+        assert self.digest(out) == csv_sha
+
+    def test_experiment_without_edges(self, tmp_path, capsys):
+        zero = tmp_path / "zero.txt"
+        zero.write_text("0 0 0\n" * 3)
+        out = tmp_path / "m.csv"
+        rc, _, _ = run(capsys, "experiment", "--model", "empirical",
+                       "--degrees", str(zero), "--sizes", "10",
+                       "--replicates", "1", "--seed", "2",
+                       "--output", str(out), "--quiet")
+        assert rc == 0
+        assert out.read_text().splitlines()[1].endswith(",nan")
+        assert self.digest(out) == (
+            "cc2d4acb66cf1447587a0053e2b00eee1b2ef994bdcba86da6afbae1445a9e8d")
+
+    def test_oracle(self, tmp_path, capsys):
+        spec = tmp_path / "tri.txt"
+        spec.write_text("1 1 0\n1 1 0\n1 1 0\n")
+        rc, stdout, _ = run(capsys, "oracle", "--spec", str(spec),
+                            "--replicates", "2000", "--seed", "5")
+        assert rc == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "7b52ff2d4bab9ff764c2045024bad1568237f7649fb98b8ea2a9824666f63f09")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -5,20 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import scale_free_isf, scale_free_quantile
 from pdcm.degrees import (
     DegreeSequence,
     DegreeTriple,
     JointDegreeDistribution,
     _scale_free_bulk,
-    distribution_mean,
     hurwitz_zeta,
     load_degree_file,
     sample_sequence,
     scale_free_cdf,
-    scale_free_isf,
     scale_free_mean,
     scale_free_offset,
-    scale_free_quantile,
     scale_free_sf,
     triple_probability,
     zeta,
@@ -91,12 +89,16 @@ class TestScaleFreeLaw:
         with pytest.raises(ValueError):
             scale_free_cdf(1.0, 5)
 
-    def test_low_gamma_warns_but_works(self):
-        scale_free_offset.cache_clear()
-        with pytest.warns(UserWarning, match="infinite mean"):
-            f = scale_free_cdf(1.7, 3)
-        assert 0.0 < f < 1.0
-        assert scale_free_mean(1.7) == math.inf
+    def test_gamma_at_most_two_rejected(self):
+        """One rule for the public surface: an infinite-mean law is refused
+        with the message JointDegreeDistribution gives."""
+        for gamma in (1.7, 2.0):
+            for call in (lambda: scale_free_cdf(gamma, 3),
+                         lambda: scale_free_sf(gamma, 3),
+                         lambda: scale_free_mean(gamma),
+                         lambda: JointDegreeDistribution.scale_free(gamma, "independent")):
+                with pytest.raises(ValueError, match="gamma must exceed 2"):
+                    call()
 
     def test_mean_frozen_value(self):
         assert scale_free_mean(2.5) == pytest.approx(MEAN_25, rel=1e-10)
@@ -277,24 +279,6 @@ class TestDegreeSequence:
             DegreeSequence(np.array([[1, -2, 0]]))
 
 
-class TestDistributionMean:
-    def test_poisson_total_mean(self):
-        dist = JointDegreeDistribution.poisson(7.0, "independent")
-        m = distribution_mean(dist)
-        assert m == (7.0, 7.0, 7.0)
-        # total degree in the directed view: in + out + two ends per undirected
-        assert m[0] + m[1] + 2 * m[2] == 28.0
-
-    def test_empirical_two_point(self):
-        dist = JointDegreeDistribution.empirical([(1, 1, 0), (3, 3, 2)], "dependent")
-        assert distribution_mean(dist) == (2.0, 2.0, 1.0)
-
-    def test_scale_free_components_equal(self):
-        dist = JointDegreeDistribution.scale_free(2.5, "independent")
-        m = distribution_mean(dist)
-        assert m[0] == m[1] == m[2] == pytest.approx(MEAN_25, rel=1e-10)
-
-
 class TestTripleProbability:
     def test_independent_empirical_is_product_of_marginals(self):
         dist = JointDegreeDistribution.empirical(
@@ -346,7 +330,7 @@ def test_load_degree_file(tmp_path):
 def test_load_degree_file_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n4 five 6\n")
-    with pytest.raises(ValueError, match="bad.txt:2"):
+    with pytest.raises(ValueError, match="bad.txt: line 2"):
         load_degree_file(path)
     path.write_text("1 2\n")
     with pytest.raises(ValueError, match="three integers"):

@@ -224,6 +224,34 @@ class TestRunExperiment:
         assert (open(serial.output, "rb").read()
                 == open(parallel.output, "rb").read())
 
+    def test_pool_no_larger_than_pending_cells(self, tmp_path, monkeypatch):
+        """Under fork every max_workers process starts at the first submit,
+        so a resumed run with two cells left asks for two workers."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("pdcm.experiment.ProcessPoolExecutor", SerialPool)
+        config = small_config(tmp_path, jobs=8)
+        run_experiment(small_config(tmp_path, replicates=2))
+        assert run_experiment(config) == (2, 4)
+        assert sizes == [2]
+        fresh = small_config(tmp_path, output=str(tmp_path / "fresh.csv"))
+        run_experiment(fresh)
+        assert (open(config.output, "rb").read()
+                == open(fresh.output, "rb").read())
+
     def test_foreign_schema_refused(self, tmp_path):
         config = small_config(tmp_path)
         open(config.output, "w").write("a,b,c\n1,2,3\n")

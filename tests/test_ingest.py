@@ -1,5 +1,6 @@
 import gzip
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,12 @@ from pdcm.ingest import (
     ParseError,
     _classify,
     _tokenize,
-    dump_multigraph,
     ingest_path,
     parse_edge_list,
     read_pdgraph,
     to_partially_directed,
     write_pdgraph,
 )
-from pdcm.matching import MultiGraph, match_stubs
 from pdcm.simplify import validate_simple_graph
 
 DATA = Path(__file__).parent.parent / "data"
@@ -50,13 +49,13 @@ class TestParse:
     def test_comments_and_order(self):
         raw = parse_edge_list(io.StringIO("# c\n1 2\n2 1\n"))
         assert raw.arcs.tolist() == [[1, 2], [2, 1]]
-        assert raw.num_nodes == 2
 
     def test_empty_input(self):
         raw = parse_edge_list(io.StringIO(""))
-        assert raw.num_arcs == 0 and raw.num_nodes == 0
+        assert raw.num_arcs == 0
         g, stats = to_partially_directed(raw)
         assert g.n == 0 and stats.total_edges == 0
+        assert math.isnan(stats.proportion_directed)
 
     @pytest.mark.parametrize(
         "body,where",
@@ -264,16 +263,6 @@ class TestPdgraphRoundTrip:
             read_pdgraph(path)
         with pytest.raises(ValueError, match="limit"):
             _classify(np.zeros((0, 2), dtype=np.int64), 2**31 + 1)
-
-    def test_multigraph_dump_flagged_and_rejected(self, tmp_path):
-        mg = match_stubs(
-            MultiGraph.from_edges(3, [(0, 1)], [(1, 2)]).source_degrees, seed=4
-        )
-        path = tmp_path / "m.pdgraph"
-        dump_multigraph(mg, path)
-        assert path.read_text().startswith("# pdgraph multigraph n=3\n")
-        with pytest.raises(ParseError, match="multigraph"):
-            read_pdgraph(path)
 
 
 def test_degree_file_loader_accepts_pdgraph(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,9 +162,9 @@ class TestProportionDirected:
         g = SimpleGraph(2, np.array([]), np.array([]), np.array([0]), np.array([1]))
         assert proportion_directed(g) == 0.0
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            proportion_directed(empty_graph(3))
+    def test_empty_graph_is_nan(self):
+        """The experiment CSV and the ingest JSON write NaN for no edges."""
+        assert math.isnan(proportion_directed(empty_graph(3)))
 
 
 def test_csv_column_order():

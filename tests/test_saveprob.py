@@ -17,13 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import enumerate_save_fraction, monte_carlo_reference, save_battery
+from _oracles import (
+    enumerate_save_fraction,
+    exact_by_enumeration,
+    monte_carlo_reference,
+    save_battery,
+)
 from pdcm import saveprob
 from pdcm.degrees import DegreeTriple
 from pdcm.rng import derive_seed
 from pdcm.saveprob import (
     SaveAttemptSpec,
-    _exact_by_enumeration,
     exact_save_probability,
     monte_carlo_save_frequency,
     parse_save_spec,
@@ -125,7 +129,7 @@ class TestCrossValidation:
     @settings(max_examples=60, deadline=None)
     @given(spec_st)
     def test_factorized_equals_naive_tuple_sum(self, spec):
-        assert exact_save_probability(spec) == _exact_by_enumeration(spec)
+        assert exact_save_probability(spec) == exact_by_enumeration(spec)
 
     @settings(max_examples=60, deadline=None)
     @given(spec_st)

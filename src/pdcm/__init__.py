@@ -18,7 +18,6 @@ from .degrees import (
     JointDegreeDistribution,
     load_degree_file,
     sample_sequence,
-    scale_free_cdf,
     scale_free_mean,
     scale_free_sf,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "sample_sequence",
-    "scale_free_cdf",
     "scale_free_mean",
     "scale_free_sf",
     "simplify",

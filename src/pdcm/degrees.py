@@ -38,10 +38,6 @@ class DegreeTriple(NamedTuple):
     out_deg: int
     und_deg: int
 
-    @property
-    def total(self) -> int:
-        return self.in_deg + self.out_deg + self.und_deg
-
 
 # ---------------------------------------------------------------------------
 # zeta machinery for the scale-free family
@@ -102,15 +98,6 @@ def scale_free_sf(gamma: float, k):
     if sf.ndim == 0:
         return float(sf)
     return sf
-
-
-def scale_free_cdf(gamma: float, k):
-    """F(k) = 1 - ((k + d)/d)^-(gamma-1); accepts a scalar or array k >= 0.
-
-    In float64, F(k) rounds to the same value for adjacent k once p_k
-    falls below half an ulp of 1; use scale_free_sf in the tail.
-    """
-    return 1.0 - scale_free_sf(gamma, k)
 
 
 def _scale_free_bulk(gamma: float, u: np.ndarray) -> np.ndarray:
@@ -221,13 +208,6 @@ class JointDegreeDistribution:
     def poisson(cls, lam: float, coupling: str) -> "JointDegreeDistribution":
         return cls(kind="poisson", coupling=coupling, lam=float(lam))
 
-    def describe(self) -> str:
-        if self.kind == "empirical":
-            return f"empirical({self.triples.shape[0]} triples, {self.coupling})"
-        if self.kind == "scale_free":
-            return f"scale_free(gamma={self.gamma}, {self.coupling})"
-        return f"poisson(lambda={self.lam}, {self.coupling})"
-
 
 @dataclass(frozen=True, eq=False)
 class DegreeSequence:
@@ -242,9 +222,6 @@ class DegreeSequence:
         if (t < 0).any():
             raise ValueError("degrees must be non-negative")
         object.__setattr__(self, "triples", t)
-
-    def __len__(self) -> int:
-        return self.triples.shape[0]
 
     @property
     def n(self) -> int:
@@ -273,10 +250,6 @@ class DegreeSequence:
     @property
     def s_und(self) -> int:
         return int(self.triples[:, 2].sum())
-
-    def triple(self, i: int) -> DegreeTriple:
-        row = self.triples[i]
-        return DegreeTriple(int(row[0]), int(row[1]), int(row[2]))
 
 
 def _draw_univariate(dist: JointDegreeDistribution, rng, n: int) -> np.ndarray:
@@ -320,6 +293,49 @@ def sample_sequence(dist: JointDegreeDistribution, n: int, seed: int) -> DegreeS
 # model probabilities of individual triples (used by the distortion metrics)
 # ---------------------------------------------------------------------------
 
+def row_codes(*arrays) -> list:
+    """One int64 code per row of each (m, 3) int64 array, on one common
+    scale on which codes order as their rows do lexicographically.
+
+    The code is the row in mixed radix over the column maxima of all the
+    arrays; rows that do not fit it (a negative entry, or maxima whose
+    product overflows int64) get their rank among the distinct rows
+    instead.
+    """
+    rows = np.concatenate(arrays)
+    span = [int(top) + 1 for top in rows.max(axis=0, initial=0)]
+    if rows.min(initial=0) >= 0 and span[0] * span[1] * span[2] < 2**63:
+        codes = (rows[:, 0] * span[1] + rows[:, 1]) * span[2] + rows[:, 2]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        codes = np.empty(rows.shape[0], dtype=np.int64)
+        codes[order] = np.cumsum(np.append(False, (ranked[1:] != ranked[:-1]).any(axis=1)))
+    return np.split(codes, np.cumsum([a.shape[0] for a in arrays[:-1]]))
+
+
+def distinct_rows(triples):
+    """The distinct rows of an (m, 3) array in lexicographic order, as an
+    int64 array, and the int64 count of each."""
+    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    codes, = row_codes(arr)
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = np.flatnonzero(np.append(arr.shape[0] > 0, codes[1:] != codes[:-1]))
+    return arr[order[starts]], np.diff(np.append(starts, arr.shape[0]))
+
+
+def empirical_atoms(dist: JointDegreeDistribution):
+    """An empirical law's distinct rows, sorted, and their probabilities
+    count / m; built once per law and cached on it."""
+    cached = getattr(dist, "_atom_table", None)
+    if cached is None:
+        atoms, counts = distinct_rows(dist.triples)
+        cached = (atoms, counts / dist.triples.shape[0])
+        object.__setattr__(dist, "_atom_table", cached)
+    return cached
+
+
 def _empirical_marginal_pmf(column: np.ndarray, k: np.ndarray) -> np.ndarray:
     vals, counts = np.unique(column, return_counts=True)
     freq = counts / column.size
@@ -352,10 +368,10 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
             cols = [_univariate_pmf(dist, D[:, c]) for c in range(3)]
         return cols[0] * cols[1] * cols[2]
     if dist.kind == "empirical":
-        atoms, counts = np.unique(dist.triples, axis=0, return_counts=True)
-        m = dist.triples.shape[0]
-        table = {tuple(a): c / m for a, c in zip(atoms, counts)}
-        return np.array([table.get(tuple(r), 0.0) for r in D], dtype=np.float64)
+        atoms, prob = empirical_atoms(dist)
+        codes, atom_codes = row_codes(D, atoms)
+        at = np.minimum(np.searchsorted(atom_codes, codes), atom_codes.size - 1)
+        return np.where(atom_codes[at] == codes, prob[at], 0.0)
     diag = (D[:, 0] == D[:, 1]) & (D[:, 1] == D[:, 2])
     return np.where(diag, _univariate_pmf(dist, D[:, 0]), 0.0)
 
@@ -375,7 +391,7 @@ def load_degree_file(path) -> np.ndarray:
     """
     with open(path) as fh:
         first = fh.readline()
-        if first.startswith("# pdgraph"):
+        if first.startswith("# pdgraph n="):
             from .ingest import read_pdgraph
 
             return read_pdgraph(path).degree_triples().copy()

@@ -110,8 +110,25 @@ class ExperimentConfig:
                 yield n, self.cell_seed(s, r)
 
 
+def _config_value(key: str, value: str):
+    """One setting converted from its string form (file value or flag)."""
+    if key in ("lambda", "gamma"):
+        return float(value)
+    if key in ("replicates", "seed", "jobs"):
+        return int(value)
+    if key == "sizes":
+        parts = value.replace(",", " ").split()
+        if not parts:
+            raise ValueError("sizes must list at least one integer")
+        return tuple(int(p) for p in parts)
+    if key in ("model", "coupling", "degrees", "output"):
+        return value
+    raise ValueError(f"unknown config key {key!r}")
+
+
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; later keys win."""
+    """Flat ``key = value`` lines; '#' starts a comment; later keys win.
+    Values are checked where their line is known, and kept as strings."""
     mapping = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -127,6 +144,10 @@ def parse_config_file(path) -> dict:
                     f"{path}: line {lineno}: unknown key {key!r}; "
                     f"expected one of {CONFIG_KEYS}"
                 )
+            try:
+                _config_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
             mapping[key] = value
     return mapping
 
@@ -134,24 +155,9 @@ def parse_config_file(path) -> dict:
 def config_from_mapping(mapping) -> ExperimentConfig:
     """Build a config from string-valued settings (file values and/or
     flag overrides, already merged -- flags simply overwrite file keys)."""
-    kw = {}
-    for key, value in mapping.items():
-        if key == "lambda":
-            kw["lam"] = float(value)
-        elif key in ("gamma",):
-            kw[key] = float(value)
-        elif key in ("replicates", "seed", "jobs"):
-            kw[key] = int(value)
-        elif key == "sizes":
-            parts = str(value).replace(",", " ").split()
-            if not parts:
-                raise ValueError("sizes must list at least one integer")
-            kw[key] = tuple(int(p) for p in parts)
-        elif key in ("model", "coupling", "degrees", "output"):
-            kw[key] = str(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**{("lam" if key == "lambda" else key):
+                               _config_value(key, str(value))
+                               for key, value in mapping.items()})
 
 
 def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
@@ -172,8 +178,17 @@ def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
     return row
 
 
-def _cell_task(args):
-    return run_cell(*args)
+_worker_experiment = None  # (dist, label, coupling), set in each pool worker
+
+
+def _init_worker(*experiment):
+    """Take the law once per worker, so its atom table is built once."""
+    global _worker_experiment
+    _worker_experiment = experiment
+
+
+def _cell_task(cell):
+    return run_cell(*_worker_experiment, *cell)
 
 
 def _format_row(row: dict) -> list:
@@ -225,10 +240,11 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
             if log is not None:
                 log(f"[{done}/{len(pending)}] n={n} seed={cs}")
     else:
-        tasks = [(dist, label, config.coupling, n, cs) for n, cs in pending]
         # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pending))) as pool:
-            for (n, cs), row in zip(pending, pool.map(_cell_task, tasks)):
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pending)),
+                                 initializer=_init_worker,
+                                 initargs=(dist, label, config.coupling)) as pool:
+            for (n, cs), row in zip(pending, pool.map(_cell_task, pending)):
                 rows[(n, cs)] = _format_row(row)
                 done += 1
                 if log is not None:

@@ -66,10 +66,6 @@ class IngestStats:
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
 
-    @property
-    def total_edges(self) -> int:
-        return self.directed + self.undirected
-
 
 def parse_edge_list(stream) -> RawArcList:
     """Read whitespace-separated integer pairs; '#' lines are comments.

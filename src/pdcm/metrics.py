@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrees import DegreeTriple, JointDegreeDistribution, triple_probability
+from .degrees import (
+    JointDegreeDistribution,
+    distinct_rows,
+    empirical_atoms,
+    row_codes,
+    triple_probability,
+)
 from .simplify import ErasureReport, SimpleGraph
 
 # experiment CSV layout: identification, distortion, the nine per-vertex
@@ -43,48 +49,27 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeCensus:
-    """Counts of degree triples over the n vertices of one graph."""
+    """How many of the n vertices of one graph have each degree triple.
 
-    counts: dict
+    ``triples`` holds the distinct triples in lexicographic order, as an
+    (m, 3) int64 array, and ``counts`` the int64 count of each.
+    """
+
+    triples: np.ndarray
+    counts: np.ndarray
     n: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.n:
+        if int(np.sum(self.counts)) != self.n:
             raise ValueError("census counts must sum to n")
-
-    def frequency(self, triple) -> float:
-        return self.counts.get(tuple(triple), 0) / self.n
-
-    def support(self) -> np.ndarray:
-        """(m, 3) int64 array of the observed triples, in key order."""
-        if not self.counts:
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.array(sorted(self.counts), dtype=np.int64)
 
 
 def census_from_triples(triples) -> DegreeCensus:
-    """Count the distinct rows by sorting one int64 code per triple.
-
-    The code is the row in mixed radix over the column maxima; rows that
-    do not fit it (a negative entry, or maxima whose product overflows
-    int64) are sorted row-wise instead.
-    """
-    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    span = arr.max(axis=0, initial=0) + 1
-    if arr.min(initial=0) >= 0 and int(span[0]) * int(span[1]) * int(span[2]) < 2**63:
-        codes = np.sort((arr[:, 0] * span[1] + arr[:, 1]) * span[2] + arr[:, 2])
-        ab, c = np.divmod(codes, span[2])
-        rows = np.stack([*np.divmod(ab, span[1]), c], axis=1)
-    else:
-        rows = arr[np.lexsort(arr.T[::-1])]
-    new = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(np.append(rows.shape[0] > 0, new))
-    counts = np.diff(np.append(starts, rows.shape[0]))
-    table = {DegreeTriple(*row): k
-             for row, k in zip(rows[starts].tolist(), counts.tolist())}
-    return DegreeCensus(counts=table, n=arr.shape[0])
+    """Count the distinct rows of an (n, 3) array of degree triples."""
+    rows, counts = distinct_rows(triples)
+    return DegreeCensus(rows, counts, int(counts.sum()))
 
 
 def degree_census(g: SimpleGraph) -> DegreeCensus:
@@ -96,18 +81,22 @@ def total_variation(census: DegreeCensus, dist: JointDegreeDistribution) -> floa
     """Exact d_tv between a census and the model law it was sampled from.
 
     The enumeration runs over the union of the census support and, for
-    empirical distributions, the model's own (finite) support; everything
-    the model puts outside that union is folded in exactly through the
-    complementary mass term.
+    empirical distributions, the model's own (finite) support, merged as
+    sorted row codes; everything the model puts outside that union is
+    folded in exactly through the complementary mass term.
     """
     if census.n == 0:
         raise ValueError("empty census")
-    support = {tuple(map(int, t)) for t in census.counts}
+    triples, counts = census.triples, census.counts
     if dist.kind == "empirical":
-        support |= {tuple(map(int, row)) for row in dist.triples}
-    triples = np.array(sorted(support), dtype=np.int64)
+        atoms, _ = empirical_atoms(dist)
+        codes, atom_codes = row_codes(triples, atoms)
+        union, first = np.unique(np.concatenate([codes, atom_codes]), return_index=True)
+        counts = np.zeros(union.size, dtype=np.int64)
+        counts[np.searchsorted(union, codes)] = census.counts
+        triples = np.concatenate([triples, atoms])[first]
     p = triple_probability(dist, triples)
-    q = np.array([census.counts.get(t, 0) for t in map(tuple, triples)]) / census.n
+    q = counts / census.n
     tail = max(0.0, 1.0 - float(p.sum()))
     return 0.5 * (float(np.abs(p - q).sum()) + tail)
 

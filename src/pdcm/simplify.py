@@ -200,12 +200,6 @@ class SimpleGraph:
     def undirected_pairs(self) -> np.ndarray:
         return np.stack([self.und_u, self.und_v], axis=1)
 
-    def as_sets(self) -> tuple[set, set]:
-        """(directed, undirected) as sets of int tuples; small graphs only."""
-        d = {(int(a), int(b)) for a, b in zip(self.dir_tails, self.dir_heads)}
-        u = {(int(a), int(b)) for a, b in zip(self.und_u, self.und_v)}
-        return d, u
-
     def degree_triples(self) -> np.ndarray:
         """(n, 3) int64 array of per-vertex (in, out, und) degrees.
 
@@ -253,17 +247,6 @@ class ErasureReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
-
-    @property
-    def total_erased_edges(self) -> int:
-        return (
-            self.self_loops_dir
-            + self.self_loops_und
-            + self.parallel_dir
-            + self.parallel_und
-            + self.dir_parallel_to_und
-            + self.reciprocal_pairs_converted
-        )
 
 
 def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:

@@ -46,6 +46,12 @@ def brute_scc_partition(g) -> set:
     return {frozenset(np.nonzero(mutual[i])[0].tolist()) for i in range(n)}
 
 
+def edge_sets(g) -> tuple:
+    """(directed, undirected) edges of a small graph as sets of tuples."""
+    return (set(map(tuple, g.directed_pairs().tolist())),
+            set(map(tuple, g.undirected_pairs().tolist())))
+
+
 def random_simple_graph(rng, max_n=12, max_edges=20):
     """A random valid SimpleGraph, built by running arbitrary edge lists
     through the simplifier (whose output is simple by construction)."""
@@ -250,14 +256,23 @@ def _first_atom(holds) -> int:
     return lo
 
 
+def scale_free_cdf(gamma, k):
+    """F(k) = 1 - ((k + d)/d)^-(gamma-1); accepts a scalar or array k >= 0.
+
+    In float64, F(k) rounds to the same value for adjacent k once p_k
+    falls below half an ulp of 1; the sampler works with scale_free_sf.
+    """
+    from pdcm.degrees import scale_free_sf
+
+    return 1.0 - scale_free_sf(gamma, k)
+
+
 def scale_free_quantile(gamma, u) -> int:
     """Smallest k >= 1 with scale_free_cdf(gamma, k) >= u, for u in [0, 1),
     by bisection; the reference for the sampler's closed-form inversion.
 
     The support starts at 1 (F(0) = 0), so u = 0 maps to 1.
     """
-    from pdcm.degrees import scale_free_cdf
-
     if not 0.0 <= u < 1.0:
         raise ValueError("quantile argument must lie in [0, 1)")
     return _first_atom(lambda k: scale_free_cdf(gamma, k) >= u)
@@ -345,3 +360,33 @@ def simple_graph_reference(n, tails, heads, us, vs):
         deg[a][2] += 1
         deg[b][2] += 1
     return ("ok", [list(p) for p in dir_pairs], [list(p) for p in und_pairs], deg)
+
+
+def total_variation_reference(rows, dist):
+    """d_tv over a set of tuples, with a dict census and a dict law.
+
+    The set/dict form that the sorted-code ``total_variation`` replaced,
+    kept as the reference it must equal bit for bit: the same union in
+    the same lexicographic order, the same p and q formulas and the same
+    tail term.  ``rows`` are a graph's degree triples, one per vertex.
+    """
+    from collections import Counter
+
+    from pdcm.degrees import triple_probability
+
+    counts = Counter(tuple(map(int, r)) for r in rows)
+    n = sum(counts.values())
+    support = set(counts)
+    if dist.kind == "empirical":
+        support |= {tuple(map(int, row)) for row in dist.triples}
+    triples = np.array(sorted(support), dtype=np.int64)
+    if dist.kind == "empirical" and dist.coupling == "dependent":
+        atoms, atom_counts = np.unique(dist.triples, axis=0, return_counts=True)
+        m = dist.triples.shape[0]
+        table = {tuple(a): c / m for a, c in zip(atoms, atom_counts)}
+        p = np.array([table.get(tuple(r), 0.0) for r in triples], dtype=np.float64)
+    else:
+        p = triple_probability(dist, triples)
+    q = np.array([counts.get(t, 0) for t in map(tuple, triples)]) / n
+    tail = max(0.0, 1.0 - float(p.sum()))
+    return 0.5 * (float(np.abs(p - q).sum()) + tail)

@@ -173,8 +173,9 @@ class TestOracle:
     ("oracle", "--spec", "1 1 0\n1 1\n", 2),
     ("experiment", "--degrees", "1 1 0\n\n0 -1 0\n", 3),
     ("experiment", "--degrees", "1 1 0\n0 0 99999999999999999999\n", 2),
+    ("experiment", "--config", "sizes = 10\njobs = x\n", 2),
 ], ids=["components", "ingest", "ingest-int64", "oracle", "experiment",
-        "experiment-int64"])
+        "experiment-int64", "experiment-config"])
 def test_malformed_input_names_file_and_line(tmp_path, capsys, command, flag,
                                              text, lineno):
     """Every reader reports "<path>: line N: <what>" and exits 1."""

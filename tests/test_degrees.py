@@ -5,16 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import scale_free_isf, scale_free_quantile
+from _oracles import scale_free_cdf, scale_free_isf, scale_free_quantile
 from pdcm.degrees import (
     DegreeSequence,
-    DegreeTriple,
     JointDegreeDistribution,
     _scale_free_bulk,
     hurwitz_zeta,
     load_degree_file,
     sample_sequence,
-    scale_free_cdf,
     scale_free_mean,
     scale_free_offset,
     scale_free_sf,
@@ -195,10 +193,6 @@ class TestDistributionConstruction:
         with pytest.raises(ValueError):
             JointDegreeDistribution.poisson(0.0, "independent")
 
-    def test_describe_mentions_parameters(self):
-        d = JointDegreeDistribution.scale_free(2.5, "dependent")
-        assert "2.5" in d.describe() and "dependent" in d.describe()
-
 
 class TestSampling:
     def test_deterministic(self):
@@ -266,9 +260,8 @@ class TestDegreeSequence:
     def test_sums_recomputable(self):
         seq = DegreeSequence(np.array([[1, 2, 3], [0, 0, 1]]))
         assert (seq.s_in, seq.s_out, seq.s_und) == (1, 2, 4)
-        assert len(seq) == seq.n == 2
-        assert seq.triple(0) == DegreeTriple(1, 2, 3)
-        assert seq.triple(0).total == 6
+        assert seq.n == 2
+        assert seq.triples[0].tolist() == [1, 2, 3]
 
     def test_shape_and_sign_validated(self):
         with pytest.raises(ValueError):
@@ -325,6 +318,13 @@ def test_load_degree_file(tmp_path):
     )
     arr = load_degree_file(path)
     assert arr.tolist() == [[1, 2, 3], [0, 0, 0]]
+
+
+def test_pdgraph_style_comment_is_a_degree_file(tmp_path):
+    """Only the full '# pdgraph n=' header marks a pdgraph file."""
+    path = tmp_path / "degrees.txt"
+    path.write_text("# pdgraph-style triples\n1 2 3\n0 0 1\n")
+    assert load_degree_file(path).tolist() == [[1, 2, 3], [0, 0, 1]]
 
 
 def test_load_degree_file_reports_line_numbers(tmp_path):

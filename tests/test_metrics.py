@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdcm.degrees import JointDegreeDistribution, sample_sequence
+from _oracles import total_variation_reference
+from pdcm.degrees import COUPLINGS, MODELS, JointDegreeDistribution, sample_sequence
 from pdcm.matching import match_stubs
 from pdcm.metrics import (
     CSV_COLUMNS,
@@ -26,15 +27,19 @@ def empty_graph(n):
 class TestCensus:
     def test_empty_graph(self):
         c = degree_census(empty_graph(3))
-        assert c.counts == {(0, 0, 0): 3} and c.n == 3
+        assert c.triples.tolist() == [[0, 0, 0]] and c.counts.tolist() == [3]
+        assert c.n == 3
 
     def test_single_arc(self):
         g = SimpleGraph(2, np.array([0]), np.array([1]), np.array([]), np.array([]))
-        assert degree_census(g).counts == {(0, 1, 0): 1, (1, 0, 0): 1}
+        c = degree_census(g)
+        assert c.triples.tolist() == [[0, 1, 0], [1, 0, 0]]
+        assert c.counts.tolist() == [1, 1]
 
     def test_single_undirected_edge(self):
         g = SimpleGraph(2, np.array([]), np.array([]), np.array([0]), np.array([1]))
-        assert degree_census(g).counts == {(0, 0, 1): 2}
+        c = degree_census(g)
+        assert c.triples.tolist() == [[0, 0, 1]] and c.counts.tolist() == [2]
 
     def test_relabeling_invariance(self):
         g = SimpleGraph(
@@ -44,19 +49,21 @@ class TestCensus:
         h = SimpleGraph(
             4, np.array([3, 1]), np.array([2, 0]), np.array([2]), np.array([1])
         )
-        assert degree_census(g).counts == degree_census(h).counts
+        cg, ch = degree_census(g), degree_census(h)
+        assert cg.triples.tolist() == ch.triples.tolist()
+        assert cg.counts.tolist() == ch.counts.tolist()
 
     def test_counts_must_sum_to_n(self):
         from pdcm.metrics import DegreeCensus
 
         with pytest.raises(ValueError):
-            DegreeCensus(counts={(0, 0, 0): 2}, n=3)
+            DegreeCensus(np.array([[0, 0, 0]]), np.array([2]), n=3)
 
     def test_frequency_lookup(self):
         c = census_from_triples([(1, 0, 0), (1, 0, 0), (0, 0, 2)])
-        assert c.frequency((1, 0, 0)) == pytest.approx(2 / 3)
-        assert c.frequency((9, 9, 9)) == 0.0
-        assert c.support().tolist() == [[0, 0, 2], [1, 0, 0]]
+        assert c.triples.tolist() == [[0, 0, 2], [1, 0, 0]]
+        assert c.counts[1] / c.n == pytest.approx(2 / 3)
+        assert [9, 9, 9] not in c.triples.tolist()
 
     @pytest.mark.parametrize("extra", [
         [],
@@ -69,8 +76,9 @@ class TestCensus:
         rows = [tuple(r) for r in np.random.default_rng(5).integers(0, 4, (300, 3)).tolist()]
         rows += extra
         c = census_from_triples(rows)
-        assert c.counts == dict(Counter(rows))
-        assert list(c.counts) == sorted(c.counts)
+        table = dict(zip(map(tuple, c.triples.tolist()), c.counts.tolist()))
+        assert table == dict(Counter(rows))
+        assert list(table) == sorted(table)
 
 
 class TestTotalVariation:
@@ -99,7 +107,8 @@ class TestTotalVariation:
 
         dist = JointDegreeDistribution.poisson(7.0, "independent")
         with pytest.raises(ValueError):
-            total_variation(DegreeCensus(counts={}, n=0), dist)
+            total_variation(DegreeCensus(np.zeros((0, 3), dtype=np.int64),
+                                         np.zeros(0, dtype=np.int64), n=0), dist)
 
     def test_matches_brute_force_double_loop(self):
         """Full-pipeline d_tv against an independent re-implementation
@@ -114,7 +123,7 @@ class TestTotalVariation:
 
         acc = 0.0
         seen = 0.0
-        for (i, j, k), c in census.counts.items():
+        for (i, j, k), c in zip(census.triples.tolist(), census.counts.tolist()):
             p = poisson.pmf(i, lam) * poisson.pmf(j, lam) * poisson.pmf(k, lam)
             acc += abs(p - c / census.n)
             seen += p
@@ -135,6 +144,43 @@ class TestTotalVariation:
         census = census_from_triples(rows)
         tv = total_variation(census, dist)
         assert 0.0 <= tv <= 1.0
+
+
+def triples_in(lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * 3)
+
+
+HUGE = [(2**40, 0, 0), (0, 2**40, 0), (0, 0, 2**40)]  # radix overflows int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(MODELS),
+    st.sampled_from(COUPLINGS),
+    st.lists(triples_in(0, 4), max_size=30),
+    st.lists(triples_in(5, 7), min_size=1, max_size=10),
+    st.lists(triples_in(0, 4), min_size=1, max_size=30),
+    st.sampled_from(["none", "census", "law", "both"]),
+)
+def test_total_variation_equals_reference(model, coupling, shared, outside,
+                                          law_rows, huge):
+    """Bit-identical to the set/dict d_tv for every model and coupling.
+
+    The census always has rows outside the empirical law's support
+    (entries 5..7) and misses its atom (0, 0, 8); ``huge`` puts rows whose
+    column maxima overflow the int64 radix into the census, the law or
+    both.  A Poisson census keeps small entries: its pmf table runs up to
+    the largest one.
+    """
+    assume(model != "poisson" or huge in ("none", "law"))
+    rows = shared + outside + (HUGE if huge in ("census", "both") else [])
+    law_rows = law_rows + [(0, 0, 8)] + (HUGE if huge in ("law", "both") else [])
+    dist = {"poisson": lambda: JointDegreeDistribution.poisson(2.0, coupling),
+            "scale_free": lambda: JointDegreeDistribution.scale_free(2.5, coupling),
+            "empirical": lambda: JointDegreeDistribution.empirical(law_rows, coupling),
+            }[model]()
+    assert (total_variation(census_from_triples(rows), dist)
+            == total_variation_reference(rows, dist))
 
 
 class TestRates:

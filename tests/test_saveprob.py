@@ -156,7 +156,7 @@ class TestCrossValidation:
                                  spec.others + (T(0, 0, 0),))
         p, q = exact_save_probability(spec), exact_save_probability(bigger)
         assert q >= p
-        if spec.target_degree.total <= len(spec.others):
+        if sum(spec.target_degree) <= len(spec.others):
             assert q == p
 
 

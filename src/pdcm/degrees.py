@@ -137,12 +137,13 @@ def scale_free_mean(gamma: float) -> float:
 
 
 def _poisson_pmf_upto(lam: float, kmax: int) -> np.ndarray:
-    """Poisson probabilities p_0 .. p_kmax by the stable ratio recurrence."""
-    p = np.empty(kmax + 1, dtype=np.float64)
-    p[0] = math.exp(-lam)
-    for j in range(1, kmax + 1):
-        p[j] = p[j - 1] * (lam / j)
-    return p
+    """Poisson probabilities p_0 .. p_kmax by the stable ratio recurrence,
+    cut after its first exact 0.0: every later term is 0.0 as well, so
+    p_k is 0 for any k past the end of the table."""
+    p = [math.exp(-lam)]
+    while p[-1] > 0.0 and len(p) <= kmax:
+        p.append(p[-1] * (lam / len(p)))
+    return np.array(p)
 
 
 def _scale_free_pmf(gamma: float, k: np.ndarray) -> np.ndarray:
@@ -347,7 +348,7 @@ def _univariate_pmf(dist: JointDegreeDistribution, k: np.ndarray) -> np.ndarray:
     if dist.kind == "scale_free":
         return _scale_free_pmf(dist.gamma, k)
     p = _poisson_pmf_upto(dist.lam, int(k.max()) if k.size else 0)
-    return p[k]
+    return np.where(k < p.size, p[np.minimum(k, p.size - 1)], 0.0)
 
 
 def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:

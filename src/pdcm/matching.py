@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import DegreeSequence
-from .rng import make_generator
+from .rng import make_generator, make_generators
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
 
@@ -113,16 +113,6 @@ class MultiGraph:
         )
 
     @property
-    def arcs(self) -> np.ndarray:
-        """(m, 2) array of (tail, head) pairs."""
-        return np.stack([self.arc_tails, self.arc_heads], axis=1)
-
-    @property
-    def und_edges(self) -> np.ndarray:
-        """(m, 2) array of unordered pairs, stored with u <= v."""
-        return np.stack([self.und_u, self.und_v], axis=1)
-
-    @property
     def n_arcs(self) -> int:
         return self.arc_tails.shape[0]
 
@@ -132,34 +122,31 @@ class MultiGraph:
 
 
 def _stub_owners(seq: DegreeSequence):
-    """Owner ids of every (in, out, und) stub, cached on the sequence.
+    """Owner ids of every (in, out, und) stub, plus the directed list that
+    is shuffled -- the longer one, the in-stubs on a tie -- cached on the
+    sequence.
 
     The repeat-expansion is the same for every matching of one sequence,
     so it is built once.  The cached arrays are never aliased by results:
-    permutation copies, and the positionally-paired shorter list is
-    copied explicitly in match_stubs.
+    they are copied before the in-place shuffles, and the
+    positionally-paired shorter list is copied explicitly in _pair_stubs.
     """
     cached = getattr(seq, "_stub_owner_arrays", None)
     if cached is None:
         ids = np.arange(seq.n, dtype=VERTEX_DTYPE)
-        cached = (
-            np.repeat(ids, seq.in_deg),
-            np.repeat(ids, seq.out_deg),
-            np.repeat(ids, seq.und_deg),
-        )
+        in_stubs, out_stubs = np.repeat(ids, seq.in_deg), np.repeat(ids, seq.out_deg)
+        longer = in_stubs if in_stubs.size >= out_stubs.size else out_stubs
+        cached = (in_stubs, out_stubs, np.repeat(ids, seq.und_deg), longer)
         object.__setattr__(seq, "_stub_owner_arrays", cached)
     return cached
 
 
-def _shuffle_stubs(rng, in_stubs, out_stubs, und_stubs):
-    """The two draws of the matching contract, in order.
-
-    First the undirected stub list is permuted, then the *longer* of the
-    two directed lists (the in-stubs on a tie).
-    """
-    shuffled_und = rng.permutation(und_stubs)
-    longer = in_stubs if in_stubs.size >= out_stubs.size else out_stubs
-    return shuffled_und, rng.permutation(longer)
+def _shuffle_stubs(rng, und, longer):
+    """The two draws of the matching contract, in order, in place: first
+    the undirected stub list, then the longer directed list.  For a 1-D
+    array ``rng.shuffle`` draws exactly what ``rng.permutation`` does."""
+    rng.shuffle(und)
+    rng.shuffle(longer)
 
 
 def _pair_stubs(in_stubs, out_stubs, shuffled_und, shuffled_dir):
@@ -199,9 +186,9 @@ def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:
     """
     n = seq.n
     check_vertex_count(n)
-    in_stubs, out_stubs, und_stubs = _stub_owners(seq)
-    shuffled_und, shuffled_dir = _shuffle_stubs(
-        make_generator(seed), in_stubs, out_stubs, und_stubs)
+    in_stubs, out_stubs, und_stubs, longer = _stub_owners(seq)
+    shuffled_und, shuffled_dir = und_stubs.copy(), longer.copy()
+    _shuffle_stubs(make_generator(seed), shuffled_und, shuffled_dir)
     (arc_tails, arc_heads, und_u, und_v, unpaired_dir,
      unpaired_und) = _pair_stubs(in_stubs, out_stubs, shuffled_und,
                                  shuffled_dir)
@@ -235,17 +222,17 @@ def match_stubs_union(seq: DegreeSequence, seeds) -> MultiGraph:
     """
     n, reps = seq.n, len(seeds)
     check_vertex_count(reps * n)
-    in_stubs, out_stubs, und_stubs = _stub_owners(seq)
-    longer = max(in_stubs.size, out_stubs.size)
-    shuffled_und = np.empty((reps, und_stubs.size), dtype=VERTEX_DTYPE)
-    shuffled_dir = np.empty((reps, longer), dtype=VERTEX_DTYPE)
-    for j, seed in enumerate(seeds):
-        shuffled_und[j], shuffled_dir[j] = _shuffle_stubs(
-            make_generator(seed), in_stubs, out_stubs, und_stubs)
+    in_stubs, out_stubs, und_stubs, longer = _stub_owners(seq)
+    shuffled_und = np.tile(und_stubs, (reps, 1))
+    shuffled_dir = np.tile(longer, (reps, 1))
+    for rng, und_row, dir_row in zip(make_generators(seeds), shuffled_und,
+                                     shuffled_dir):
+        _shuffle_stubs(rng, und_row, dir_row)
     offset = (np.arange(reps, dtype=np.int64) * n).astype(VERTEX_DTYPE)[:, None]
+    shuffled_und += offset
+    shuffled_dir += offset
     arc_tails, arc_heads, und_u, und_v, _, _ = _pair_stubs(
-        in_stubs + offset, out_stubs + offset,
-        shuffled_und + offset, shuffled_dir + offset)
+        in_stubs + offset, out_stubs + offset, shuffled_und, shuffled_dir)
     return MultiGraph.from_edges(
         reps * n,
         np.stack([arc_tails.ravel(), arc_heads.ravel()], axis=1),

@@ -189,8 +189,8 @@ def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
     target = np.asarray(spec.target_degree, dtype=np.int64)
     hits = 0
     for start in range(0, replicates, chunk):
-        seeds = [derive_seed(seed, r)
-                 for r in range(start, min(start + chunk, replicates))]
+        seeds = derive_seed(seed, np.arange(start, min(start + chunk, replicates),
+                                            dtype=np.uint64))
         g, _ = simplify(match_stubs_union(seq, seeds))
         hits += int((g.degree_triples()[::n] == target).all(axis=1).sum())
     freq = hits / replicates

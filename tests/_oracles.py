@@ -237,6 +237,18 @@ def monte_carlo_reference(spec, replicates, seed):
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 
 
+def poisson_pmf_reference(lam, kmax):
+    """Poisson p_0 .. p_kmax by the ratio recurrence, the whole table,
+    with no cut at the first underflow."""
+    import math
+
+    p = np.empty(kmax + 1, dtype=np.float64)
+    p[0] = math.exp(-lam)
+    for j in range(1, kmax + 1):
+        p[j] = p[j - 1] * (lam / j)
+    return p
+
+
 def _first_atom(holds) -> int:
     """Smallest k >= 1 with holds(k), for a predicate monotone in k.
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pdcm import saveprob
 from pdcm.cli import main
 from pdcm.ingest import read_pdgraph
 
@@ -192,7 +193,8 @@ class TestOutputPins:
     """sha256 of output files and JSON output, recorded on earlier
     versions of the code (generate and ingest before the sorted pair-code
     kernel, experiment and oracle before the readers and the direction
-    share were merged); any change to a random stream, a rule or the
+    share were merged, the multi-chunk oracle before its generators were
+    seeded in batches); any change to a random stream, a rule or the
     file layout moves them."""
 
     @staticmethod
@@ -257,6 +259,19 @@ class TestOutputPins:
         assert rc == 0
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "7b52ff2d4bab9ff764c2045024bad1568237f7649fb98b8ea2a9824666f63f09")
+
+    def test_oracle_multi_chunk(self, tmp_path, capsys):
+        """An in-stub surplus (3 > 2) and an odd undirected total (5):
+        15 vertices and stubs per replicate, so 40000 replicates take three
+        union chunks at the default budget."""
+        spec = tmp_path / "surplus.txt"
+        spec.write_text("1 0 1\n0 1 1\n1 0 1\n1 1 0\n0 0 2\n")
+        assert 40000 > 2 * (saveprob._UNION_BUDGET // 15)
+        rc, stdout, _ = run(capsys, "oracle", "--spec", str(spec),
+                            "--replicates", "40000", "--seed", "6")
+        assert rc == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "dcd4ef19c1ec0459e0965a7f03c40141499c0c8baaecd5267d528e5670d9c07b")
 
 
 def test_unknown_subcommand_is_usage_error():

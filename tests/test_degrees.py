@@ -1,14 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import scale_free_cdf, scale_free_isf, scale_free_quantile
+from _oracles import (
+    poisson_pmf_reference,
+    scale_free_cdf,
+    scale_free_isf,
+    scale_free_quantile,
+)
 from pdcm.degrees import (
     DegreeSequence,
     JointDegreeDistribution,
+    _poisson_pmf_upto,
     _scale_free_bulk,
     hurwitz_zeta,
     load_degree_file,
@@ -300,6 +307,31 @@ class TestTripleProbability:
         for coupling in ("independent", "dependent"):
             dist = JointDegreeDistribution.poisson(7.0, coupling)
             assert triple_probability(dist, grid).sum() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("lam,first_zero", [
+        (0.5, 157), (7.0, 275), (100.0, 690), (700.0, 1943), (745.0, 2021),
+        (800.0, 0)])
+    def test_poisson_table_stops_at_underflow(self, lam, first_zero):
+        """The table ends at the recurrence's first exact 0.0, and every
+        probability up to k = 3000 equals the uncut table's."""
+        table = _poisson_pmf_upto(lam, 3000)
+        assert table.size == first_zero + 1 and table[-1] == 0.0
+        ref = poisson_pmf_reference(lam, 3000)
+        dist = JointDegreeDistribution.poisson(lam, "independent")
+        k = np.arange(3001)
+        rows = np.stack([k, np.zeros_like(k), np.zeros_like(k)], axis=1)
+        assert (triple_probability(dist, rows) == ref * ref[0] * ref[0]).all()
+
+    def test_poisson_hub_needs_no_table_to_its_degree(self):
+        dist = JointDegreeDistribution.poisson(7.0, "independent")
+        tracemalloc.start()
+        try:
+            p = triple_probability(dist, [(10**6, 0, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.tolist() == [0.0]
+        assert peak < 1 << 20
 
     def test_scale_free_zero_mass(self):
         # degree 0 has no mass under the scale-free family (support starts at 1)

@@ -23,16 +23,26 @@ def seq_of(rows):
     return DegreeSequence(np.array(rows, dtype=np.int64))
 
 
+def arcs_of(mg):
+    """(m, 2) array of (tail, head) pairs."""
+    return np.stack([mg.arc_tails, mg.arc_heads], axis=1)
+
+
+def und_edges_of(mg):
+    """(m, 2) array of unordered pairs, stored with u <= v."""
+    return np.stack([mg.und_u, mg.und_v], axis=1)
+
+
 class TestSmallExamples:
     def test_two_undirected_stubs_form_one_edge(self):
         mg = match_stubs(seq_of([(0, 0, 1), (0, 0, 1)]), seed=5)
         assert mg.n_arcs == 0
-        assert mg.und_edges.tolist() == [[0, 1]]
+        assert und_edges_of(mg).tolist() == [[0, 1]]
         assert (mg.leftover_und, mg.leftover_in, mg.leftover_out) == (0, 0, 0)
 
     def test_odd_stub_count_leaves_one_unpaired(self):
         mg = match_stubs(seq_of([(0, 0, 3)]), seed=1)
-        assert mg.und_edges.tolist() == [[0, 0]]  # forced self-pair
+        assert und_edges_of(mg).tolist() == [[0, 0]]  # forced self-pair
         assert mg.leftover_und == 1
         assert mg.unpaired_und.tolist() == [0]
 
@@ -70,10 +80,10 @@ def test_deterministic_given_seed():
     a = match_stubs(seq, seed=77)
     b = match_stubs(seq, seed=77)
     c = match_stubs(seq, seed=78)
-    assert a.arcs.tolist() == b.arcs.tolist()
-    assert a.und_edges.tolist() == b.und_edges.tolist()
-    diff = a.arcs.tolist() != c.arcs.tolist() or (
-        a.und_edges.tolist() != c.und_edges.tolist()
+    assert arcs_of(a).tolist() == arcs_of(b).tolist()
+    assert und_edges_of(a).tolist() == und_edges_of(b).tolist()
+    diff = arcs_of(a).tolist() != arcs_of(c).tolist() or (
+        und_edges_of(a).tolist() != und_edges_of(c).tolist()
     )
     assert diff
 
@@ -106,7 +116,7 @@ def test_bijection_uniformity_chi_square():
     trials = 60_000
     for s in range(trials):
         mg = match_stubs(seq, seed=s)
-        key = tuple(sorted(map(tuple, mg.arcs.tolist())))
+        key = tuple(sorted(map(tuple, arcs_of(mg).tolist())))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     expected = trials / 6
@@ -163,7 +173,7 @@ def test_exchangeability_spot_check():
         table = {}
         for s in seeds:
             mg = match_stubs(seq, seed=s)
-            for t, h in mg.arcs.tolist():
+            for t, h in arcs_of(mg).tolist():
                 key = (tuple(rows_[t]), tuple(rows_[h]))
                 table[key] = table.get(key, 0) + 1
         return table
@@ -199,9 +209,9 @@ def test_union_blocks_are_the_separate_matchings():
     mg = match_stubs_union(seq, seeds)
     assert mg.n == reps * n
     assert (mg.leftover_und, mg.leftover_in, mg.leftover_out) == (0, 0, 0)
-    arcs = mg.arcs.reshape(reps, -1, 2).astype(np.int64)
-    unds = mg.und_edges.reshape(reps, -1, 2).astype(np.int64)
+    arcs = arcs_of(mg).reshape(reps, -1, 2).astype(np.int64)
+    unds = und_edges_of(mg).reshape(reps, -1, 2).astype(np.int64)
     for j, seed in enumerate(seeds):
         one = match_stubs(seq, seed)
-        assert (arcs[j] - j * n).tolist() == one.arcs.tolist()
-        assert (unds[j] - j * n).tolist() == one.und_edges.tolist()
+        assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
+        assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()

@@ -23,7 +23,7 @@ from _oracles import (
     monte_carlo_reference,
     save_battery,
 )
-from pdcm import saveprob
+from pdcm import matching, saveprob
 from pdcm.degrees import DegreeTriple
 from pdcm.rng import derive_seed
 from pdcm.saveprob import (
@@ -188,6 +188,17 @@ class TestMonteCarlo:
     def test_matches_per_replicate_loop_at_default_budget(self, spec):
         assert (monte_carlo_save_frequency(spec, 3001, seed=8)
                 == monte_carlo_reference(spec, 3001, seed=8))
+
+    def test_no_generator_built_per_replicate(self, monkeypatch):
+        """The union path seeds a chunk's generators from one batched
+        hash, never through the per-seed make_generator."""
+        expected = monte_carlo_reference(STREAM_SPECS[3], 500, seed=3)
+
+        def refuse(seed):
+            raise AssertionError("make_generator called per replicate")
+
+        monkeypatch.setattr(matching, "make_generator", refuse)
+        assert monte_carlo_save_frequency(STREAM_SPECS[3], 500, seed=3) == expected
 
     def test_three_vertex_frequency_within_three_sigma(self):
         spec = SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0)))

@@ -13,6 +13,7 @@ honest on small instances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,14 @@ class ComponentSummary:
     @classmethod
     def from_sizes(cls, sizes, n: int) -> "ComponentSummary":
         sizes = np.sort(np.asarray(sizes, dtype=np.int64))[::-1]
-        if sizes.size == 0 or sizes.sum() != n:
+        if sizes.sum() != n:
             raise ValueError("component sizes must partition the vertices")
         rest, counts = np.unique(sizes[1:], return_counts=True)
         hist = {int(s): int(c) for s, c in zip(rest, counts)}
         return cls(
             sizes=sizes,
             n=n,
-            largest_relative=int(sizes[0]) / n,
+            largest_relative=int(sizes[0]) / n if n else math.nan,
             small_component_histogram=hist,
         )
 

@@ -32,6 +32,18 @@ from .rng import make_generator
 MODELS = ("poisson", "scale_free", "empirical")
 COUPLINGS = ("independent", "dependent")
 
+# the simplifier, the ingester and the pdgraph reader encode a vertex pair
+# (a, b) as the int64 code a * n + b, which needs n * n <= 2^62
+MAX_VERTICES = 2**31
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES, the limit of the
+    int64 pair codes."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"{n} vertices: the limit is 0..{MAX_VERTICES}, "
+                         "because vertex pairs are encoded as one int64 each")
+
 
 class DegreeTriple(NamedTuple):
     in_deg: int
@@ -270,6 +282,7 @@ def sample_sequence(dist: JointDegreeDistribution, n: int, seed: int) -> DegreeS
     """
     if n < 1:
         raise ValueError("need n >= 1 vertices")
+    check_vertex_count(n)
     rng = make_generator(seed)
     if dist.coupling == "dependent":
         if dist.kind == "empirical":

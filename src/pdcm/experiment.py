@@ -26,6 +26,7 @@ from .degrees import (
     COUPLINGS,
     MODELS,
     JointDegreeDistribution,
+    check_vertex_count,
     load_degree_file,
     sample_sequence,
 )
@@ -75,6 +76,7 @@ class ExperimentConfig:
             raise ValueError("sizes must be a non-empty list of positive integers")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
+        check_vertex_count(sizes[-1])
         object.__setattr__(self, "sizes", sizes)
         if self.replicates < 1:
             raise ValueError("need replicates >= 1")

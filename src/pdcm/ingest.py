@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matching import check_vertex_count
+from .degrees import check_vertex_count
 from .metrics import proportion_directed
 from .simplify import (
     SimpleGraph,
@@ -119,7 +119,7 @@ def _classify(arcs: np.ndarray, n: int):
     kept = int(keep.sum())
     unique = dedupe(encode(t[keep], h[keep], n))
     dir_codes, und_codes, _, _ = resolve_arcs(unique, unique[:0], n)
-    g = SimpleGraph.from_codes(n, dir_codes, und_codes)
+    g = SimpleGraph(n, dir_codes, und_codes)
     return g, arcs.shape[0] - kept, kept - unique.size
 
 
@@ -217,8 +217,9 @@ def read_pdgraph(path) -> SimpleGraph:
 
     Ids are taken literally (1-based in the file, minus one in memory) and
     the header fixes n, so isolated vertices survive the round trip.  Only
-    the canonical form write_pdgraph emits is accepted: after the header,
-    "D u v" lines then "U u v" lines, single spaces, no blank or comment
+    the canonical form write_pdgraph emits is accepted: the header
+    "# pdgraph n=<n>" (n in decimal without leading zeros), then "D u v"
+    lines, then "U u v" lines, single spaces, no blank or comment
     lines, ids in 1..n, each block strictly ascending, u < v, no self-loop,
     no reciprocal arc pair and no arc parallel to an undirected edge.  Any
     other file raises ParseError naming the offending line.
@@ -227,8 +228,11 @@ def read_pdgraph(path) -> SimpleGraph:
         header = fh.readline().decode("utf-8", "replace").rstrip("\n")
         if not header.startswith("# pdgraph n="):
             raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
+        count = header[len("# pdgraph n="):]
         try:
-            n = int(header.split("=", 1)[1])
+            if not re.fullmatch(r"0|[1-9][0-9]*", count):
+                raise ValueError(f"expected a decimal without leading zeros, got {count!r}")
+            n = int(count)
             check_vertex_count(n)
         except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
@@ -258,4 +262,4 @@ def read_pdgraph(path) -> SimpleGraph:
         message, block, row = bad
         lineno = row + 2 + (n_dir if block == "U" else 0)
         raise ParseError(f"{path}: line {lineno}: {message}")
-    return SimpleGraph.from_codes(n, codes[:n_dir], codes[n_dir:])
+    return SimpleGraph(n, codes[:n_dir], codes[n_dir:])

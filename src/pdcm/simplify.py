@@ -126,65 +126,25 @@ def canonical_violation(n: int, dir_codes: np.ndarray, und_codes: np.ndarray):
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class SimpleGraph:
     """A simple partially directed graph in canonical array form.
 
     Directed edges are (tail, head) with tail != head; undirected edges are
     stored with u < v.  Both lists are lexicographically sorted and free of
-    duplicates.  The constructor canonicalizes order; deeper invariants
-    (no reciprocal arcs, no arc parallel to an undirected edge) are checked
-    by validate_simple_graph.  ``from_codes`` is the trusted constructor
-    the pipeline uses.
+    duplicates, with no reciprocal arcs and no arc parallel to an
+    undirected edge (validate_simple_graph checks all of this).
     """
 
-    n: int
-    dir_tails: np.ndarray
-    dir_heads: np.ndarray
-    und_u: np.ndarray
-    und_v: np.ndarray
-
-    def __post_init__(self):
-        n = self.n
-        check_vertex_count(n)
-        t, h, u, v = (np.ascontiguousarray(x, dtype=VERTEX_DTYPE) for x in (
-            self.dir_tails, self.dir_heads, self.und_u, self.und_v))
-        if t.shape != h.shape or u.shape != v.shape:
-            raise ValueError("edge arrays must align")
-        if (t == h).any():
-            raise ValueError("directed self-loop")
-        if (u == v).any():
-            raise ValueError("undirected self-loop")
-        for arr in (t, h, u, v):
-            if arr.size and int(arr.max()) >= n:
-                raise ValueError("vertex id out of range")
-        dcode = np.sort(encode(t, h, n))
-        ucode = np.sort(encode(np.minimum(u, v), np.maximum(u, v), n))
-        for codes, kind in ((dcode, "directed"), (ucode, "undirected")):
-            if not run_starts(codes).all():
-                raise ValueError(f"duplicate {kind} edge")
-        self._set_codes(dcode, ucode)
-
-    @classmethod
-    def from_codes(cls, n: int, dir_codes, und_codes) -> "SimpleGraph":
-        """Trusted constructor: no checks, no sorting.
-
-        ``dir_codes`` must be sorted distinct arc codes ``t * n + h`` and
-        ``und_codes`` sorted distinct codes ``u * n + v`` with u < v, as
-        the erasure rules and the pdgraph reader produce them.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        g._set_codes(dir_codes, und_codes)
-        return g
-
-    def _set_codes(self, dir_codes, und_codes):
-        for (first, second), codes in ((("dir_tails", "dir_heads"), dir_codes),
-                                       (("und_u", "und_v"), und_codes)):
-            a, b = np.empty((2, codes.size), dtype=VERTEX_DTYPE)
-            np.divmod(codes, self.n, out=(a, b), casting="unsafe")
-            object.__setattr__(self, first, a)
-            object.__setattr__(self, second, b)
+    def __init__(self, n: int, dir_codes: np.ndarray, und_codes: np.ndarray):
+        """Trusted: no checks, no sorting.  ``dir_codes`` must be sorted
+        distinct arc codes ``t * n + h`` and ``und_codes`` sorted distinct
+        codes ``u * n + v`` with u < v, as the erasure rules and the
+        pdgraph reader produce them."""
+        self.n = n
+        self.dir_tails, self.dir_heads = np.empty((2, dir_codes.size), dtype=VERTEX_DTYPE)
+        np.divmod(dir_codes, n, out=(self.dir_tails, self.dir_heads), casting="unsafe")
+        self.und_u, self.und_v = np.empty((2, und_codes.size), dtype=VERTEX_DTYPE)
+        np.divmod(und_codes, n, out=(self.und_u, self.und_v), casting="unsafe")
 
     @property
     def num_directed(self) -> int:
@@ -193,12 +153,6 @@ class SimpleGraph:
     @property
     def num_undirected(self) -> int:
         return self.und_u.shape[0]
-
-    def directed_pairs(self) -> np.ndarray:
-        return np.stack([self.dir_tails, self.dir_heads], axis=1)
-
-    def undirected_pairs(self) -> np.ndarray:
-        return np.stack([self.und_u, self.und_v], axis=1)
 
     def degree_triples(self) -> np.ndarray:
         """(n, 3) int64 array of per-vertex (in, out, und) degrees.
@@ -216,7 +170,7 @@ class SimpleGraph:
                 self.und_v, minlength=n
             )
             deg.setflags(write=False)
-            object.__setattr__(self, "_degree_triples", deg)
+            self._degree_triples = deg
         return deg
 
 
@@ -254,7 +208,9 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
 
     modified_vertices compares each vertex's final degree triple against
     the drawn one, so a reciprocal conversion marks all involved vertices
-    as modified even though their total stub count is unchanged.
+    as modified even though their total stub count is unchanged.  Each
+    block of a union is compared with the one source sequence, so the
+    report of a union is the sum of its blocks' reports.
     """
     n = mg.n
     check_vertex_count(n)
@@ -266,8 +222,10 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     parallel_dir = mg.n_arcs - self_dir - dir_codes.size
     parallel_und = mg.n_und_edges - self_und - und_codes.size
     dir_codes, und_codes, dir_parallel, pairs = resolve_arcs(dir_codes, und_codes, n)
-    g = SimpleGraph.from_codes(n, dir_codes, und_codes)
-    modified = int((g.degree_triples() != mg.source_degrees.triples).any(axis=1).sum())
+    g = SimpleGraph(n, dir_codes, und_codes)
+    src = mg.source_degrees
+    final = g.degree_triples().reshape(-1, src.n, 3)
+    modified = int((final != src.triples).any(axis=2).sum())
     report = ErasureReport(
         unconnected_und=mg.leftover_und,
         unconnected_dir=mg.leftover_in + mg.leftover_out,

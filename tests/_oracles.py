@@ -3,6 +3,58 @@
 import numpy as np
 
 
+def multigraph(n, arcs, und_edges, *, unpaired_in=(), unpaired_out=(),
+               unpaired_und=(), source_degrees=None):
+    """A one-block MultiGraph from explicit edge lists, undirected pairs
+    stored with u <= v.
+
+    When source_degrees is omitted it is derived from the edges and the
+    unpaired-stub lists, i.e. the degree sequence that would have
+    produced exactly this matching.
+    """
+    from pdcm.degrees import DegreeSequence
+    from pdcm.matching import VERTEX_DTYPE, MultiGraph
+
+    arcs = np.asarray(arcs, dtype=VERTEX_DTYPE).reshape(-1, 2)
+    unds = np.sort(np.asarray(und_edges, dtype=VERTEX_DTYPE).reshape(-1, 2), axis=1)
+    if source_degrees is None:
+        deg = np.zeros((n, 3), dtype=np.int64)
+        for col, ids in ((0, arcs[:, 1]), (0, unpaired_in), (1, arcs[:, 0]),
+                         (1, unpaired_out), (2, unds.ravel()), (2, unpaired_und)):
+            deg[:, col] += np.bincount(np.asarray(ids, dtype=np.int64), minlength=n)
+        source_degrees = DegreeSequence(deg)
+    return MultiGraph(n, *(np.ascontiguousarray(c) for c in (
+        arcs[:, 0], arcs[:, 1], unds[:, 0], unds[:, 1])), source_degrees)
+
+
+def simple_graph(n, tails, heads, us, vs):
+    """A SimpleGraph from edge columns in any order: the columns must
+    align and hold ids in 0..n-1; they are encoded (undirected pairs as
+    u <= v) and sorted, and the graph must pass validate_simple_graph."""
+    from pdcm.simplify import SimpleGraph, encode, validate_simple_graph
+
+    t, h, u, v = (np.asarray(x, dtype=np.int64) for x in (tails, heads, us, vs))
+    if t.shape != h.shape or u.shape != v.shape:
+        raise ValueError("edge arrays must align")
+    for ids in (t, h, u, v):
+        if ids.size and not 0 <= ids.min() <= ids.max() < n:
+            raise ValueError("vertex id out of range")
+    g = SimpleGraph(n, np.sort(encode(t, h, n)),
+                    np.sort(encode(np.minimum(u, v), np.maximum(u, v), n)))
+    validate_simple_graph(g)
+    return g
+
+
+def directed_pairs(g):
+    """(m, 2) array of a graph's (tail, head) pairs."""
+    return np.stack([g.dir_tails, g.dir_heads], axis=1)
+
+
+def undirected_pairs(g):
+    """(m, 2) array of a graph's undirected pairs, u < v."""
+    return np.stack([g.und_u, g.und_v], axis=1)
+
+
 def brute_scc_sizes(g) -> list:
     """Component sizes by explicit transitive closure (O(n^3), n <= ~100).
 
@@ -12,9 +64,9 @@ def brute_scc_sizes(g) -> list:
     """
     n = g.n
     reach = np.eye(n, dtype=bool)
-    for t, h in g.directed_pairs().tolist():
+    for t, h in directed_pairs(g).tolist():
         reach[t][h] = True
-    for u, v in g.undirected_pairs().tolist():
+    for u, v in undirected_pairs(g).tolist():
         reach[u][v] = True
         reach[v][u] = True
     for k in range(n):
@@ -35,9 +87,9 @@ def brute_scc_partition(g) -> set:
     """The mutual-reachability partition itself, as a set of frozensets."""
     n = g.n
     reach = np.eye(n, dtype=bool)
-    for t, h in g.directed_pairs().tolist():
+    for t, h in directed_pairs(g).tolist():
         reach[t][h] = True
-    for u, v in g.undirected_pairs().tolist():
+    for u, v in undirected_pairs(g).tolist():
         reach[u][v] = True
         reach[v][u] = True
     for k in range(n):
@@ -48,20 +100,19 @@ def brute_scc_partition(g) -> set:
 
 def edge_sets(g) -> tuple:
     """(directed, undirected) edges of a small graph as sets of tuples."""
-    return (set(map(tuple, g.directed_pairs().tolist())),
-            set(map(tuple, g.undirected_pairs().tolist())))
+    return (set(map(tuple, directed_pairs(g).tolist())),
+            set(map(tuple, undirected_pairs(g).tolist())))
 
 
 def random_simple_graph(rng, max_n=12, max_edges=20):
     """A random valid SimpleGraph, built by running arbitrary edge lists
     through the simplifier (whose output is simple by construction)."""
-    from pdcm.matching import MultiGraph
     from pdcm.simplify import simplify
 
     n = int(rng.integers(1, max_n + 1))
     arcs = rng.integers(0, n, (int(rng.integers(0, max_edges)), 2))
     unds = rng.integers(0, n, (int(rng.integers(0, max_edges)), 2))
-    g, _ = simplify(MultiGraph.from_edges(n, arcs, unds))
+    g, _ = simplify(multigraph(n, arcs, unds))
     return g
 
 
@@ -93,7 +144,6 @@ def enumerate_save_fraction(spec):
     from fractions import Fraction
     from itertools import permutations
 
-    from pdcm.matching import MultiGraph
     from pdcm.simplify import simplify
 
     seq = spec.degree_sequence()
@@ -133,7 +183,7 @@ def enumerate_save_fraction(spec):
     saved = 0
     for arcs, unpaired_in, unpaired_out in dir_outcomes:
         for unpaired_und, unds in und_outcomes:
-            mg = MultiGraph.from_edges(
+            mg = multigraph(
                 n, arcs, unds,
                 unpaired_in=unpaired_in, unpaired_out=unpaired_out,
                 unpaired_und=unpaired_und, source_degrees=seq,
@@ -342,28 +392,33 @@ def simplify_reference(mg):
 
 
 def simple_graph_reference(n, tails, heads, us, vs):
-    """What ``SimpleGraph(n, tails, heads, us, vs)`` must do, in plain Python.
+    """What ``simple_graph(n, tails, heads, us, vs)`` must do, in plain Python.
 
-    The same checks in the same order; returns ``("err", message)`` or
+    The same checks in the same order, with the messages of the helper
+    and of ``canonical_violation``; returns ``("err", message)`` or
     ``("ok", directed pairs, undirected pairs, degree triples)`` as sorted
     lists.
     """
     t, h, u, v = map(list, (tails, heads, us, vs))
     if len(t) != len(h) or len(u) != len(v):
         return ("err", "edge arrays must align")
-    if any(a == b for a, b in zip(t, h)):
-        return ("err", "directed self-loop")
-    if any(a == b for a, b in zip(u, v)):
-        return ("err", "undirected self-loop")
     for lst in (t, h, u, v):
         if lst and not 0 <= min(lst) <= max(lst) < n:
             return ("err", "vertex id out of range")
     dir_pairs = sorted(zip(t, h))
     und_pairs = sorted((a, b) if a < b else (b, a) for a, b in zip(u, v))
+    if any(a == b for a, b in dir_pairs):
+        return ("err", "directed self-loop")
+    if any(a == b for a, b in und_pairs):
+        return ("err", "undirected edge needs u < v")
     if len(set(dir_pairs)) < len(dir_pairs):
-        return ("err", "duplicate directed edge")
+        return ("err", "directed edges unsorted or duplicated")
     if len(set(und_pairs)) < len(und_pairs):
-        return ("err", "duplicate undirected edge")
+        return ("err", "undirected edges unsorted or duplicated")
+    if any((b, a) in dir_pairs for a, b in dir_pairs):
+        return ("err", "reciprocal directed pair")
+    if any((min(a, b), max(a, b)) in und_pairs for a, b in dir_pairs):
+        return ("err", "directed edge parallel to an undirected edge")
     deg = [[0, 0, 0] for _ in range(n)]
     for a, b in dir_pairs:
         deg[b][0] += 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestGenerate:
             main(["generate", "--model", "poisson", "--seed", "1",
                   "--output", str(tmp_path / "g"), "--report", str(tmp_path / "r")])
         assert exc.value.code == 2
+
+    def test_size_past_vertex_limit_is_runtime_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """--n 2^31 + 1 exits 1 before any degree is drawn."""
+        def no_generator(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr("pdcm.degrees.make_generator", no_generator)
+        rc, _, err = run(capsys, "generate", "--n", str(2**31 + 1), "--seed", "1",
+                         "--output", str(tmp_path / "g"),
+                         "--report", str(tmp_path / "r"))
+        assert rc == 1 and "limit" in err
+        assert not (tmp_path / "g").exists()
 
     def test_bad_degree_file_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "generate", "--model", "empirical",
@@ -146,6 +160,23 @@ class TestComponents:
         p.write_text("# pdgraph n=2\nD 1 2\n")
         rc, stdout, _ = run(capsys, "components", "--input", str(p))
         assert json.loads(stdout)["num_components"] == 2
+
+    def test_ingest_without_arcs_then_components(self, tmp_path, capsys):
+        """An edge list with no arcs ingests to an empty graph, which has
+        no components and a NaN largest share."""
+        edges, graph = tmp_path / "e.txt", tmp_path / "g.pdgraph"
+        edges.write_text("# no arcs here\n")
+        rc, _, _ = run(capsys, "ingest", "--input", str(edges),
+                       "--output", str(graph))
+        assert rc == 0 and graph.read_text() == "# pdgraph n=0\n"
+        rc, stdout, _ = run(capsys, "components", "--input", str(graph),
+                            "--output", str(tmp_path / "c.csv"))
+        assert rc == 0
+        summary = json.loads(stdout)
+        assert (summary["n"], summary["num_components"]) == (0, 0)
+        assert math.isnan(summary["largest_relative"])
+        assert (tmp_path / "c.csv").read_text() == (
+            "# n=0 largest_relative=nan\nsize,count\n")
 
 
 class TestOracle:

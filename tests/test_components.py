@@ -3,37 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_scc_partition, brute_scc_sizes, random_simple_graph
+from _oracles import (
+    brute_scc_partition,
+    brute_scc_sizes,
+    directed_pairs,
+    random_simple_graph,
+    simple_graph,
+    undirected_pairs,
+)
 from pdcm.components import (
     ComponentSummary,
     component_labels,
     strongly_connected_components,
     write_component_csv,
 )
-from pdcm.simplify import SimpleGraph
 
 E = np.array([], dtype=np.uint32)
 
 
 class TestExamples:
     def test_undirected_edge_is_reciprocal(self):
-        g = SimpleGraph(2, E, E, np.array([0]), np.array([1]))
+        g = simple_graph(2, E, E, np.array([0]), np.array([1]))
         cs = strongly_connected_components(g)
         assert cs.sizes.tolist() == [2]
         assert cs.largest_relative == 1.0
 
     def test_directed_path_gives_singletons(self):
-        g = SimpleGraph(3, np.array([0, 1]), np.array([1, 2]), E, E)
+        g = simple_graph(3, np.array([0, 1]), np.array([1, 2]), E, E)
         cs = strongly_connected_components(g)
         assert cs.sizes.tolist() == [1, 1, 1]
         assert cs.num_components == 3
 
     def test_directed_cycle_is_one_component(self):
-        g = SimpleGraph(3, np.array([0, 1, 2]), np.array([1, 2, 0]), E, E)
+        g = simple_graph(3, np.array([0, 1, 2]), np.array([1, 2, 0]), E, E)
         assert strongly_connected_components(g).sizes.tolist() == [3]
 
     def test_empty_graph_all_singletons(self):
-        cs = strongly_connected_components(SimpleGraph(4, E, E, E, E))
+        cs = strongly_connected_components(simple_graph(4, E, E, E, E))
         assert cs.sizes.tolist() == [1, 1, 1, 1]
 
 
@@ -94,10 +100,10 @@ def test_adding_undirected_edge_never_splits(seed):
     before = strongly_connected_components(g).num_components
 
     # pick a fresh unordered pair not already linked either way
-    existing = {(int(u), int(v)) for u, v in g.undirected_pairs().tolist()}
+    existing = {(int(u), int(v)) for u, v in undirected_pairs(g).tolist()}
     existing |= {
         (min(int(t), int(h)), max(int(t), int(h)))
-        for t, h in g.directed_pairs().tolist()
+        for t, h in directed_pairs(g).tolist()
     }
     candidates = [
         (u, v)
@@ -108,7 +114,7 @@ def test_adding_undirected_edge_never_splits(seed):
     if not candidates:
         return
     u, v = candidates[int(rng.integers(len(candidates)))]
-    g2 = SimpleGraph(
+    g2 = simple_graph(
         g.n,
         g.dir_tails,
         g.dir_heads,

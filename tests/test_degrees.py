@@ -215,6 +215,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_sequence(dist, 0, seed=1)
 
+    def test_vertex_count_checked_before_drawing(self, monkeypatch):
+        """Past the 2^31 limit the size is refused before a generator is
+        built, so nothing is drawn or allocated."""
+        def no_generator(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr("pdcm.degrees.make_generator", no_generator)
+        dist = JointDegreeDistribution.poisson(7.0, "independent")
+        with pytest.raises(ValueError, match="limit"):
+            sample_sequence(dist, 2**31 + 1, seed=1)
+
     def test_poisson_dependent_diagonal(self):
         """Dependent synthetic sampling shares one draw across the triple,
         which forces s_in = s_out exactly."""

@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             ExperimentConfig(sizes=())
 
+    def test_sizes_within_vertex_limit(self):
+        assert ExperimentConfig(sizes=(2**31,)).sizes == (2**31,)
+        with pytest.raises(ValueError, match="limit"):
+            ExperimentConfig(sizes=(10, 2**31 + 1))
+
     def test_replicates_and_jobs_positive(self):
         with pytest.raises(ValueError, match="replicates"):
             ExperimentConfig(replicates=0)

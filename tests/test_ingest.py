@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import edge_sets, random_simple_graph
+from _oracles import directed_pairs, edge_sets, random_simple_graph, undirected_pairs
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
     _LINE,
@@ -82,7 +82,7 @@ class TestClassify:
 
     def test_densify_first_appearance(self):
         g, _ = to_partially_directed(parse_edge_list(io.StringIO("42 7\n7 99\n")))
-        assert g.directed_pairs().tolist() == [[0, 1], [1, 2]]
+        assert directed_pairs(g).tolist() == [[0, 1], [1, 2]]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -179,8 +179,8 @@ class TestPdgraphRoundTrip:
         write_pdgraph(g, path)
         h = read_pdgraph(path)
         assert h.n == g.n
-        assert h.directed_pairs().tolist() == g.directed_pairs().tolist()
-        assert h.undirected_pairs().tolist() == g.undirected_pairs().tolist()
+        assert directed_pairs(h).tolist() == directed_pairs(g).tolist()
+        assert undirected_pairs(h).tolist() == undirected_pairs(g).tolist()
         # and the re-export is byte-identical
         path2 = path.with_suffix(".again")
         write_pdgraph(h, path2)
@@ -228,13 +228,20 @@ class TestPdgraphRoundTrip:
             ("D 1 2\nD 1\t3\n", "line 3", "expected 'D u v'"),
             ("D 1 2 D 1 3\n", "line 2", "expected 'D u v'"),
             ("D 0 2\n", "line 2", "expected 'D u v'"),
+            ("# pdgraph n=+3\nD 1 2\n", "line 1", "leading zeros"),
+            ("# pdgraph n=0_3\nD 1 2\n", "line 1", "leading zeros"),
+            ("# pdgraph n= 3 \nD 1 2\n", "line 1", "leading zeros"),
+            ("# pdgraph n=03\nD 1 2\n", "line 1", "leading zeros"),
         ],
     )
     def test_rejects_non_canonical_form(self, tmp_path, body, where, what):
         """The reader takes only what write_pdgraph emits; a reciprocal D
-        pair, say, is an error rather than an undirected edge."""
+        pair, say, is an error rather than an undirected edge, and so is a
+        vertex count that int() would take but the writer never writes.  A
+        body that opens with its own header replaces the usual one."""
         path = tmp_path / "bad.pdgraph"
-        path.write_text("# pdgraph n=3\n" + body)
+        header = "" if body.startswith("# pdgraph") else "# pdgraph n=3\n"
+        path.write_text(header + body)
         with pytest.raises(ParseError, match=f"{where}: .*{what}"):
             read_pdgraph(path)
 

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import multigraph
 from pdcm.degrees import DegreeSequence
 from pdcm.matching import (
     MAX_VERTICES,
-    MultiGraph,
     check_vertex_count,
     match_stubs,
     match_stubs_union,
 )
+from pdcm.simplify import simplify
 
 triples_strategy = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -33,6 +34,18 @@ def und_edges_of(mg):
     return np.stack([mg.und_u, mg.und_v], axis=1)
 
 
+def unmatched(mg):
+    """(n, 3) per-vertex (in, out, und) stubs that found no partner: the
+    blocks' source degrees minus the stubs the edges hold."""
+    n = mg.n
+    held = np.stack([
+        np.bincount(mg.arc_heads, minlength=n),
+        np.bincount(mg.arc_tails, minlength=n),
+        np.bincount(mg.und_u, minlength=n) + np.bincount(mg.und_v, minlength=n),
+    ], axis=1)
+    return np.tile(mg.source_degrees.triples, (mg.blocks, 1)) - held
+
+
 class TestSmallExamples:
     def test_two_undirected_stubs_form_one_edge(self):
         mg = match_stubs(seq_of([(0, 0, 1), (0, 0, 1)]), seed=5)
@@ -44,14 +57,14 @@ class TestSmallExamples:
         mg = match_stubs(seq_of([(0, 0, 3)]), seed=1)
         assert und_edges_of(mg).tolist() == [[0, 0]]  # forced self-pair
         assert mg.leftover_und == 1
-        assert mg.unpaired_und.tolist() == [0]
+        assert unmatched(mg).tolist() == [[0, 0, 1]]
 
     def test_surplus_out_stub_recorded(self):
         mg = match_stubs(seq_of([(1, 0, 0), (0, 1, 0), (0, 1, 0)]), seed=0)
         assert mg.n_arcs == 1
         assert int(mg.arc_heads[0]) == 0
         assert (mg.leftover_in, mg.leftover_out) == (0, 1)
-        assert mg.unpaired_dir.size == 1
+        assert unmatched(mg).sum(axis=0).tolist() == [0, 1, 0]
 
     def test_tail_choice_is_uniform(self):
         """With one in-stub and two competing out-stubs, each out-stub wins
@@ -70,7 +83,7 @@ class TestSmallExamples:
         owners = np.zeros(3, dtype=int)
         trials = 4000
         for s in range(trials):
-            owners[int(match_stubs(seq, seed=s).unpaired_dir[0])] += 1
+            owners[int(unmatched(match_stubs(seq, seed=s))[:, 1].argmax())] += 1
         assert owners[0] == 0
         assert abs(owners[1] / trials - 0.5) <= 4 * np.sqrt(0.25 / trials)
 
@@ -127,31 +140,18 @@ def test_bijection_uniformity_chi_square():
 @settings(max_examples=300, deadline=None)
 @given(triples_strategy, st.integers(0, 2**32 - 1))
 def test_stub_conservation(rows, seed):
-    """Every stub ends up in an edge or in a leftover slot, per vertex."""
+    """Every stub ends up in an edge or unmatched, per vertex; only the
+    surplus directed side and an odd undirected stub are left over."""
     seq = seq_of(rows)
     mg = match_stubs(seq, seed=seed)
-    n = seq.n
     assert mg.n_arcs == min(seq.s_in, seq.s_out)
     assert mg.leftover_in == max(seq.s_in - seq.s_out, 0)
     assert mg.leftover_out == max(seq.s_out - seq.s_in, 0)
-    assert 2 * mg.n_und_edges + mg.leftover_und == seq.s_und
-    assert mg.unpaired_dir.size == mg.leftover_in + mg.leftover_out
-    assert mg.unpaired_und.size == mg.leftover_und
-
-    in_held = np.bincount(mg.arc_heads, minlength=n)
-    out_held = np.bincount(mg.arc_tails, minlength=n)
-    if seq.s_in >= seq.s_out:
-        in_held += np.bincount(mg.unpaired_dir, minlength=n)
-    else:
-        out_held += np.bincount(mg.unpaired_dir, minlength=n)
-    assert (in_held == seq.in_deg).all()
-    assert (out_held == seq.out_deg).all()
-    und_held = (
-        np.bincount(mg.und_u, minlength=n)
-        + np.bincount(mg.und_v, minlength=n)
-        + np.bincount(mg.unpaired_und, minlength=n)
-    )
-    assert (und_held == seq.und_deg).all()
+    assert mg.leftover_und == seq.s_und % 2
+    left = unmatched(mg)
+    assert (left >= 0).all()
+    assert left.sum(axis=0).tolist() == [
+        mg.leftover_in, mg.leftover_out, mg.leftover_und]
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,7 +189,7 @@ def test_exchangeability_spot_check():
 
 
 def test_from_edges_derives_matching_degrees():
-    mg = MultiGraph.from_edges(
+    mg = multigraph(
         3, [(0, 1), (1, 2)], [(0, 2)], unpaired_out=[1], unpaired_und=[2]
     )
     assert mg.source_degrees.triples.tolist() == [
@@ -202,16 +202,38 @@ def test_from_edges_derives_matching_degrees():
 
 def test_union_blocks_are_the_separate_matchings():
     """Block j of the union is match_stubs(seq, seeds[j]) shifted by j*n,
-    with the unpaired stubs dropped."""
+    and the union's unmatched stubs are reps times one matching's."""
     seq = seq_of([(2, 1, 1), (1, 0, 2), (1, 1, 0), (0, 0, 1)])
     seeds = [3, 17, 99, 2**63 + 5]
     n, reps = seq.n, len(seeds)
     mg = match_stubs_union(seq, seeds)
     assert mg.n == reps * n
-    assert (mg.leftover_und, mg.leftover_in, mg.leftover_out) == (0, 0, 0)
+    leftovers = (mg.leftover_und, mg.leftover_in, mg.leftover_out)
     arcs = arcs_of(mg).reshape(reps, -1, 2).astype(np.int64)
     unds = und_edges_of(mg).reshape(reps, -1, 2).astype(np.int64)
     for j, seed in enumerate(seeds):
         one = match_stubs(seq, seed)
         assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
         assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()
+    assert leftovers == (reps * one.leftover_und, reps * one.leftover_in,
+                         reps * one.leftover_out) == (0, 8, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples_strategy,
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_one_matching_body(rows, seeds):
+    """match_stubs(seq, s) is match_stubs_union(seq, [s]) array for array,
+    and the erasure report of a union is the field-wise sum of the reports
+    of its seeds' separate matchings."""
+    seq = seq_of(rows)
+    one, union = match_stubs(seq, seeds[0]), match_stubs_union(seq, seeds[:1])
+    assert (one.n, one.source_degrees) == (union.n, union.source_degrees)
+    for name in ("arc_tails", "arc_heads", "und_u", "und_v"):
+        a, b = getattr(one, name), getattr(union, name)
+        assert a.dtype == b.dtype == np.uint32
+        assert a.tolist() == b.tolist()
+    reports = [simplify(match_stubs(seq, s))[1].as_dict() for s in seeds]
+    _, report = simplify(match_stubs_union(seq, seeds))
+    assert report.as_dict() == {
+        key: sum(r[key] for r in reports) for key in reports[0]}

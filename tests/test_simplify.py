@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import edge_sets, simple_graph_reference, simplify_reference
+from _oracles import (
+    directed_pairs,
+    edge_sets,
+    simple_graph,
+    simple_graph_reference,
+    simplify_reference,
+    undirected_pairs,
+)
+from _oracles import multigraph as mg_of
 from pdcm.degrees import DegreeSequence, JointDegreeDistribution, sample_sequence
-from pdcm.matching import MultiGraph, match_stubs
+from pdcm.matching import match_stubs
 from pdcm.simplify import (
     ErasureReport,
     SimpleGraph,
+    encode,
     simplify,
     validate_simple_graph,
 )
-
-
-def mg_of(n, arcs, unds, **kw):
-    return MultiGraph.from_edges(n, arcs, unds, **kw)
 
 
 class TestRuleExamples:
@@ -63,10 +68,10 @@ class TestIdempotence:
         arcs = rng.integers(0, n, (int(rng.integers(0, 15)), 2))
         unds = rng.integers(0, n, (int(rng.integers(0, 15)), 2))
         g1, _ = simplify(mg_of(n, arcs, unds))
-        mg2 = mg_of(n, g1.directed_pairs(), g1.undirected_pairs())
+        mg2 = mg_of(n, directed_pairs(g1), undirected_pairs(g1))
         g2, r2 = simplify(mg2)
-        assert g2.directed_pairs().tolist() == g1.directed_pairs().tolist()
-        assert g2.undirected_pairs().tolist() == g1.undirected_pairs().tolist()
+        assert directed_pairs(g2).tolist() == directed_pairs(g1).tolist()
+        assert undirected_pairs(g2).tolist() == undirected_pairs(g1).tolist()
         assert r2 == ErasureReport(0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
@@ -83,8 +88,8 @@ def test_kernel_matches_reference(n, seed):
     assert simplify_reference(mg) == (
         r.self_loops_dir, r.self_loops_und, r.parallel_dir, r.parallel_und,
         r.dir_parallel_to_und, r.reciprocal_pairs_converted,
-        [tuple(p) for p in g.directed_pairs().tolist()],
-        [tuple(p) for p in g.undirected_pairs().tolist()],
+        [tuple(p) for p in directed_pairs(g).tolist()],
+        [tuple(p) for p in undirected_pairs(g).tolist()],
     )
 
 
@@ -122,39 +127,30 @@ def test_pipeline_output_is_simple_and_balanced(rows, seed):
 class TestSimpleGraphType:
     def test_constructor_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            SimpleGraph(2, np.array([0]), np.array([0]), np.array([]), np.array([]))
+            simple_graph(2, [0], [0], [], [])
 
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SimpleGraph(
-                3, np.array([0, 0]), np.array([1, 1]), np.array([]), np.array([])
-            )
+            simple_graph(3, [0, 0], [1, 1], [], [])
 
     def test_constructor_normalizes_order(self):
-        g = SimpleGraph(
-            4,
-            np.array([2, 0]),
-            np.array([1, 1]),
-            np.array([3, 1]),
-            np.array([2, 0]),
-        )
-        assert g.directed_pairs().tolist() == [[0, 1], [2, 1]]
-        assert g.undirected_pairs().tolist() == [[0, 1], [2, 3]]
+        g = simple_graph(4, [2, 0], [1, 1], [3, 2], [2, 0])
+        assert directed_pairs(g).tolist() == [[0, 1], [2, 1]]
+        assert undirected_pairs(g).tolist() == [[0, 2], [2, 3]]
 
     def test_validator_catches_reciprocal_pair(self):
-        g = SimpleGraph(
-            3, np.array([0, 1]), np.array([1, 0]), np.array([]), np.array([])
-        )
+        g = SimpleGraph(3, encode(np.array([0, 1]), np.array([1, 0]), 3),
+                        np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError, match="reciprocal"):
             validate_simple_graph(g)
 
     def test_validator_catches_parallel_mixed_edge(self):
-        g = SimpleGraph(3, np.array([0]), np.array([1]), np.array([0]), np.array([1]))
+        g = SimpleGraph(3, np.array([1]), np.array([1]))  # (0, 1) and {0, 1}
         with pytest.raises(ValueError, match="parallel"):
             validate_simple_graph(g)
 
     def test_degree_triples(self):
-        g = SimpleGraph(3, np.array([0]), np.array([1]), np.array([1]), np.array([2]))
+        g = simple_graph(3, [0], [1], [1], [2])
         assert g.degree_triples().tolist() == [[0, 1, 0], [1, 0, 1], [0, 0, 1]]
 
     @settings(max_examples=200, deadline=None)
@@ -163,20 +159,22 @@ class TestSimpleGraphType:
         st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12),
     )
     def test_constructor_matches_reference(self, arcs, unds):
-        """The constructor accepts and rejects exactly what the plain-Python
-        reference does and canonicalizes to the same arrays.  Vertex ids
-        run to 11 against n=10 so out-of-range inputs are exercised too."""
+        """Building a graph from edge columns (encode, sort, then
+        canonical_violation through validate_simple_graph) accepts and
+        rejects exactly what the plain-Python reference does, and gives the
+        same arrays and degree triples.  Vertex ids run to 11 against n=10
+        so out-of-range inputs are exercised too."""
         columns = ([a for a, _ in arcs], [b for _, b in arcs],
                    [u for u, _ in unds], [v for _, v in unds])
         try:
-            g = SimpleGraph(10, *columns)
+            g = simple_graph(10, *columns)
         except ValueError as e:
             got = ("err", str(e))
         else:
             got = (
                 "ok",
-                g.directed_pairs().tolist(),
-                g.undirected_pairs().tolist(),
+                directed_pairs(g).tolist(),
+                undirected_pairs(g).tolist(),
                 g.degree_triples().tolist(),
             )
         assert got == simple_graph_reference(10, *columns)

@@ -159,11 +159,11 @@ def _poisson_pmf_upto(lam: float, kmax: int) -> np.ndarray:
 
 
 def _scale_free_pmf(gamma: float, k: np.ndarray) -> np.ndarray:
-    """p_k = F(k) - F(k-1) for array k; zero at k = 0."""
+    """p_k = S(k-1) - S(k) for array k, zero at k = 0; as S(k) times
+    expm1/log1p of S(k-1)/S(k), so no digits cancel deep in the tail."""
     d = scale_free_offset(gamma)
-    s = gamma - 1.0
     kk = np.maximum(np.asarray(k, dtype=np.float64), 1.0)
-    p = (d / (kk - 1.0 + d)) ** s - (d / (kk + d)) ** s
+    p = scale_free_sf(gamma, kk) * np.expm1((gamma - 1.0) * np.log1p(1.0 / (kk - 1.0 + d)))
     return np.where(np.asarray(k) >= 1, p, 0.0)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .degrees import (
@@ -234,23 +235,19 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
     pending = [cell for cell in grid if cell not in completed]
 
     rows = dict(completed)
-    done = 0
-    if config.jobs == 1 or len(pending) <= 1:
-        for n, cs in pending:
-            rows[(n, cs)] = _format_row(run_cell(dist, label, config.coupling, n, cs))
-            done += 1
+    with ExitStack() as stack:
+        if config.jobs == 1 or len(pending) <= 1:
+            results = (run_cell(dist, label, config.coupling, *cell) for cell in pending)
+        else:
+            # the fork start method launches every worker at the first submit
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(config.jobs, len(pending)), initializer=_init_worker,
+                initargs=(dist, label, config.coupling)))
+            results = pool.map(_cell_task, pending)
+        for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):
+            rows[(n, cs)] = _format_row(row)
             if log is not None:
                 log(f"[{done}/{len(pending)}] n={n} seed={cs}")
-    else:
-        # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pending)),
-                                 initializer=_init_worker,
-                                 initargs=(dist, label, config.coupling)) as pool:
-            for (n, cs), row in zip(pending, pool.map(_cell_task, pending)):
-                rows[(n, cs)] = _format_row(row)
-                done += 1
-                if log is not None:
-                    log(f"[{done}/{len(pending)}] n={n} seed={cs}")
 
     tmp = str(config.output) + ".tmp"
     with open(tmp, "w", newline="", encoding="utf-8") as fh:

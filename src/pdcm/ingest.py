@@ -15,10 +15,8 @@ reader accepts exactly this canonical form and nothing else.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import re
-import warnings
 from array import array
 from dataclasses import asdict, dataclass
 
@@ -156,7 +154,9 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 _WRITE_ROWS = 1 << 12
 # one body line of the canonical form; ids are decimal without leading zeros
 _LINE = re.compile(rb"[DU] [1-9][0-9]{0,9} [1-9][0-9]{0,9}")
-_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
+# the longest run of canonical lines from the start; possessive, so a bad
+# line stops it without any backtracking
+_LINES = re.compile(rb"(?:[DU] [1-9][0-9]{0,9}+ [1-9][0-9]{0,9}+\n)*+")
 
 
 def _write_block(fh, tag: str, first: np.ndarray, second: np.ndarray) -> None:
@@ -177,39 +177,17 @@ def write_pdgraph(g: SimpleGraph, path) -> None:
 
 
 def _tokenize(body: bytes):
-    """(tag bytes, (L, 2) ids) of a body whose every line matches _LINE,
-    else None.
+    """(directed line count, (L, 2) ids) of a body whose every line matches
+    _LINE, else None.
 
-    One fromstring pass parses all ids.  The layout they imply (tag,
-    space, the digits of u, space, the digits of v, newline per line) must
-    span the body exactly, with a tag, a space or a newline at each of its
-    4L separator offsets.  That leaves the body exactly sum(digits) other
-    bytes, and the parsed ids were written with at least that many digits,
-    so every other byte is a digit of a canonical numeral.
+    The grammar admits D and U only as tags, so the D bytes count the
+    directed lines and one fromstring pass over the untagged body parses
+    all ids.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ids = np.fromstring(body.translate(None, b"DU"), dtype=np.int64, sep=" ")
-    except (DeprecationWarning, ValueError):
+    if _LINES.match(body).end() < len(body):
         return None
-    if ids.size % 2 or (ids.size and ids.min() < 1):
-        return None
-    ids = ids.reshape(-1, 2)
-    digits = np.searchsorted(_POW10, ids, side="right") + 1
-    width = digits[:, 0] + digits[:, 1] + 4
-    ends = np.cumsum(width) - 1
-    if len(body) != (int(ends[-1]) + 1 if ends.size else 0):
-        return None
-    buf = np.frombuffer(body, dtype=np.uint8)
-    starts = ends - width + 1
-    tags = buf[starts]
-    if (((tags != ord("D")) & (tags != ord("U"))).any()
-            or (buf[starts + 1] != ord(" ")).any()
-            or (buf[starts + 2 + digits[:, 0]] != ord(" ")).any()
-            or (buf[ends] != ord("\n")).any()):
-        return None
-    return tags, ids
+    ids = np.fromstring(body.translate(None, b"DU"), dtype=np.int64, sep=" ")
+    return body.count(b"D"), ids.reshape(-1, 2)
 
 
 def read_pdgraph(path) -> SimpleGraph:
@@ -241,22 +219,22 @@ def read_pdgraph(path) -> SimpleGraph:
         body += b"\n"
     tokens = _tokenize(body)
     if tokens is None:
-        for lineno, line in enumerate(io.BytesIO(body), start=2):
-            if not _LINE.fullmatch(line[:-1]):
-                raise ParseError(f"{path}: line {lineno}: expected 'D u v' or "
-                                 f"'U u v', got {line[:-1].decode('utf-8', 'replace')!r}")
-    tags, ids = tokens
-    n_dir = int(np.count_nonzero(tags == ord("D")))
-    early_u = np.flatnonzero(tags[:n_dir] != ord("D"))
-    if early_u.size:
-        raise ParseError(f"{path}: line {int(early_u[0]) + 2}: "
-                         "U line before a D line")
+        end = _LINES.match(body).end()
+        lineno = body.count(b"\n", 0, end) + 2
+        line = body[end:body.index(b"\n", end)].decode("utf-8", "replace")
+        raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
+                         f"got {line!r}")
+    n_dir, ids = tokens
+    first_u = body.find(b"U")
+    if 0 <= first_u < body.rfind(b"D"):
+        lineno = body.count(b"\n", 0, first_u) + 2
+        raise ParseError(f"{path}: line {lineno}: U line before a D line")
     outside = (ids > n).any(axis=1)
     if outside.any():
         raise ParseError(f"{path}: line {int(outside.argmax()) + 2}: "
                          f"vertex id outside 1..{n}")
     ids -= 1
-    codes = ids[:, 0] * n + ids[:, 1]
+    codes = encode(ids[:, 0], ids[:, 1], n)
     bad = canonical_violation(n, codes[:n_dir], codes[n_dir:])
     if bad:
         message, block, row = bad

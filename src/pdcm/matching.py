@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrees import MAX_VERTICES, DegreeSequence, check_vertex_count  # noqa: F401
+from .degrees import DegreeSequence, check_vertex_count
 from .rng import make_generator, make_generators
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB

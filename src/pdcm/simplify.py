@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matching import VERTEX_DTYPE, MultiGraph, check_vertex_count
+from .degrees import check_vertex_count
+from .matching import VERTEX_DTYPE, MultiGraph
 
 
 def encode(a, b, n: int) -> np.ndarray:

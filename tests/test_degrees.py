@@ -17,6 +17,7 @@ from pdcm.degrees import (
     JointDegreeDistribution,
     _poisson_pmf_upto,
     _scale_free_bulk,
+    _scale_free_pmf,
     hurwitz_zeta,
     load_degree_file,
     sample_sequence,
@@ -116,6 +117,20 @@ class TestScaleFreeLaw:
             d = (z * (g - 1)) ** (-1 / mp.mpf(g - 1))
             ref = float(d ** (g - 1) * mp.zeta(mp.mpf(g - 1), d))
             assert scale_free_mean(g) == pytest.approx(ref, rel=1e-10)
+
+    def test_pmf_to_full_relative_precision(self):
+        """p_k = S(k-1) - S(k) against 50-digit arithmetic on the same float
+        offset d; the plain difference loses about log10(k) digits."""
+        mp = pytest.importorskip("mpmath")
+        ks = np.array([1, 10, 10**3, 10**5, 10**7])
+        for gamma in (2.05, 2.5, 3.0, 4.0):
+            p = _scale_free_pmf(gamma, ks)
+            with mp.workdps(50):
+                d, s = mp.mpf(scale_free_offset(gamma)), mp.mpf(gamma) - 1
+                ref = [(d / (k - 1 + d)) ** s - (d / (k + d)) ** s for k in ks.tolist()]
+                rel = [abs(mp.mpf(float(x)) / r - 1) for x, r in zip(p, ref)]
+            assert max(rel) < 1e-14, (gamma, [float(r) for r in rel])
+        assert _scale_free_pmf(2.5, np.array([0]))[0] == 0.0
 
 
 class TestQuantile:

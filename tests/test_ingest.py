@@ -228,6 +228,10 @@ class TestPdgraphRoundTrip:
             ("D 1 2\nD 1\t3\n", "line 3", "expected 'D u v'"),
             ("D 1 2 D 1 3\n", "line 2", "expected 'D u v'"),
             ("D 0 2\n", "line 2", "expected 'D u v'"),
+            ("D 1 2\r\n", "line 2", "expected 'D u v'"),
+            ("D 1 2\nD 1 12345678901\n", "line 3", "expected 'D u v'"),
+            ("D 1 2\nD 1 x", "line 3", "expected 'D u v'"),
+            ("\nD 1 2\n", "line 2", "expected 'D u v'"),
             ("# pdgraph n=+3\nD 1 2\n", "line 1", "leading zeros"),
             ("# pdgraph n=0_3\nD 1 2\n", "line 1", "leading zeros"),
             ("# pdgraph n= 3 \nD 1 2\n", "line 1", "leading zeros"),

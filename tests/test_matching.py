@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import multigraph
-from pdcm.degrees import DegreeSequence
-from pdcm.matching import (
-    MAX_VERTICES,
-    check_vertex_count,
-    match_stubs,
-    match_stubs_union,
-)
+from pdcm.degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
+from pdcm.matching import match_stubs, match_stubs_union
 from pdcm.simplify import simplify
 
 triples_strategy = st.lists(

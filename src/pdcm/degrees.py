@@ -20,6 +20,7 @@ and the synthetic families return (X, X, X) for a single draw X.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -394,37 +395,64 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
 # file loading
 # ---------------------------------------------------------------------------
 
+class ParseError(ValueError):
+    """Malformed text input; the message reads "<path>: line N: <what>"."""
+
+
+# the longest run of well-formed lines from the start of a body of rows of
+# 2 or 3 ids: ids of at most 18 digits (so below 10^18 and int64-safe)
+# split by blanks or tabs, an optional '#' comment, LF or CRLF; blank and
+# comment lines pass.  Possessive, like ingest._LINES, so a bad line stops
+# it without any backtracking and its match end is that line's offset.
+_ROWS = {width: re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+(?:[ \t]++[0-9]{1,18}+){%d}"
+                           rb"[ \t]*+)?+(?:#[^\n]*+)?+\r?\n)*+" % (width - 1))
+         for width in (2, 3)}
+
+
+def line_at(body: bytes, start: int, first: int = 1) -> tuple[int, str]:
+    """Number and text of the line that begins at byte offset start of a
+    newline-terminated body whose first line is number first."""
+    return (body.count(b"\n", 0, start) + first,
+            body[start:body.index(b"\n", start)].decode("utf-8", "replace"))
+
+
+def read_int_rows(body: bytes, width: int) -> np.ndarray:
+    """The (m, width) int64 rows of a body that _ROWS[width] takes whole,
+    else ParseError naming the first line it does not take."""
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    end = _ROWS[width].match(body).end()
+    if end < len(body):
+        lineno, line = line_at(body, end)
+        raise ParseError(f"line {lineno}: expected {('two', 'three')[width - 2]} "
+                         f"integers, non-negative and below 10^18, got {line!r}")
+    if b"#" in body:
+        body = re.sub(rb"#[^\n]*+", b"", body)
+    if not re.search(rb"[0-9]", body):  # fromstring reads b"\n" as [0]
+        return np.zeros((0, width), dtype=np.int64)
+    return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def load_degree_file(path) -> np.ndarray:
     """Read degree triples from a text file into an (m, 3) int64 array.
 
     The one reader of the triple format, for degree files and oracle
-    specs alike: one "in out und" line per vertex, '#' starting a comment,
-    errors as "<path>: line N: <what>".  Files in the pdgraph edge format
-    (header line "# pdgraph n=...") are also accepted; the graph is read
-    and its degree triples returned.
+    specs alike: one "in out und" line per vertex in read_int_rows'
+    grammar, errors as "<path>: line N: <what>".  Files in the pdgraph
+    edge format (header "# pdgraph n=...") are also accepted; the graph
+    is read and its degree triples returned.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        if first.startswith("# pdgraph n="):
+    with open(path, "rb") as fh:
+        if fh.read(12) == b"# pdgraph n=":
             from .ingest import read_pdgraph
 
             return read_pdgraph(path).degree_triples().copy()
-        rows = []
-        for lineno, line in enumerate([first] + fh.readlines(), start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                triple = [int(p) for p in text.split()]
-            except ValueError:
-                triple = []
-            if len(triple) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected three "
-                                 f"integers, got {line.rstrip()!r}")
-            if min(triple) < 0 or max(triple) >= 2**63:
-                raise ValueError(f"{path}: line {lineno}: degrees must be "
-                                 "non-negative and below 2^63")
-            rows.append(triple)
-    if not rows:
+        fh.seek(0)
+        body = fh.read()
+    try:
+        rows = read_int_rows(body, 3)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not rows.size:
         raise ValueError(f"{path}: no degree triples found")
-    return np.array(rows, dtype=np.int64)
+    return rows

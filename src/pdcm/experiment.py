@@ -212,13 +212,16 @@ def _read_completed(path) -> dict:
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
             raise ValueError(
-                f"{path}: existing output has a different column layout; "
-                "refusing to resume into it"
+                f"{path}: line 1: existing output has a different column "
+                "layout; refusing to resume into it"
             )
         for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            completed[(int(row[2]), int(row[3]))] = row
+            try:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"malformed row {row!r}")
+                completed[(int(row[2]), int(row[3]))] = row
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return completed
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import gzip
 import json
 import re
-from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .degrees import check_vertex_count
+from .degrees import ParseError, check_vertex_count, line_at, read_int_rows
 from .metrics import proportion_directed
 from .simplify import (
     SimpleGraph,
@@ -31,11 +30,6 @@ from .simplify import (
     encode,
     resolve_arcs,
 )
-
-
-class ParseError(ValueError):
-    """Malformed edge-list or pdgraph input; the message reads
-    "<path>: line N: <what>"."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,33 +60,9 @@ class IngestStats:
 
 
 def parse_edge_list(stream) -> RawArcList:
-    """Read whitespace-separated integer pairs; '#' lines are comments.
-
-    Streaming, one line at a time, into flat 64-bit buffers -- memory stays
-    proportional to the edge count even for ~10^8-line inputs.
-    """
-    src = array("q")
-    dst = array("q")
-    for lineno, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(
-                f"line {lineno}: expected two integers, got {line.rstrip()!r}"
-            )
-        try:
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-        except (ValueError, OverflowError):
-            raise ParseError(
-                f"line {lineno}: expected two integers, got {line.rstrip()!r}"
-            ) from None
-    arcs = np.empty((len(src), 2), dtype=np.int64)
-    arcs[:, 0] = np.frombuffer(src, dtype=np.int64) if src else 0
-    arcs[:, 1] = np.frombuffer(dst, dtype=np.int64) if dst else 0
-    return RawArcList(arcs=arcs)
+    """Read the integer pairs of a binary stream, one "u v" line per arc,
+    in degrees.read_int_rows' grammar ('#' comments, blank lines)."""
+    return RawArcList(arcs=read_int_rows(stream.read(), 2))
 
 
 def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -139,7 +109,7 @@ def to_partially_directed(raw: RawArcList) -> tuple[SimpleGraph, IngestStats]:
 def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
     """Parse a (possibly gzip-compressed) edge-list file and classify it."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
+    with opener(path, "rb") as fh:
         try:
             raw = parse_edge_list(fh)
         except ParseError as exc:
@@ -219,9 +189,7 @@ def read_pdgraph(path) -> SimpleGraph:
         body += b"\n"
     tokens = _tokenize(body)
     if tokens is None:
-        end = _LINES.match(body).end()
-        lineno = body.count(b"\n", 0, end) + 2
-        line = body[end:body.index(b"\n", end)].decode("utf-8", "replace")
+        lineno, line = line_at(body, _LINES.match(body).end(), first=2)
         raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
                          f"got {line!r}")
     n_dir, ids = tokens

@@ -457,3 +457,27 @@ def total_variation_reference(rows, dist):
     q = np.array([counts.get(t, 0) for t in map(tuple, triples)]) / n
     tail = max(0.0, 1.0 - float(p.sum()))
     return 0.5 * (float(np.abs(p - q).sum()) + tail)
+
+
+def int_rows_reference(body: bytes, width: int):
+    """The rows of an edge-list or degree-file body, read line by line as
+    the README documents the format, or the number of its first bad line.
+
+    Lines end at LF or CRLF (a missing final line end is allowed); '#'
+    starts a comment; the rest is empty or exactly ``width`` ids of 1 to
+    18 ASCII digits, split by runs of blanks and tabs.
+    """
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.endswith(b"\r"):
+            line = line[:-1]
+        fields = [f for f in line.split(b"#", 1)[0].replace(b"\t", b" ").split(b" ") if f]
+        if not fields:
+            continue
+        if len(fields) != width or not all(f.isdigit() and len(f) <= 18 for f in fields):
+            return lineno
+        rows.append([int(f) for f in fields])
+    return rows

@@ -220,6 +220,21 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, command, flag,
     assert f"{bad}: line {lineno}: " in err
 
 
+@pytest.mark.parametrize("command,flag,body", [
+    ("ingest", "--input", b"1 2\n3 \xff\n"),
+    ("oracle", "--spec", b"1 1 0\n1 \xff 0\n"),
+    ("experiment", "--degrees", b"1 1 0\n0 0 \xe9\n"),
+], ids=["ingest", "oracle", "experiment"])
+def test_non_utf8_byte_names_file_and_line(tmp_path, capsys, command, flag, body):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(body)
+    extra = ("--model", "empirical", "--sizes", "10", "--replicates", "1",
+             "--output", str(tmp_path / "m.csv")) if command == "experiment" else ()
+    rc, _, err = run(capsys, command, flag, str(bad), *extra)
+    assert rc == 1
+    assert f"{bad}: line 2: " in err
+
+
 class TestOutputPins:
     """sha256 of output files and JSON output, recorded on earlier
     versions of the code (generate and ingest before the sorted pair-code

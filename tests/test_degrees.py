@@ -385,6 +385,25 @@ def test_pdgraph_style_comment_is_a_degree_file(tmp_path):
     assert load_degree_file(path).tolist() == [[1, 2, 3], [0, 0, 1]]
 
 
+@pytest.mark.parametrize("body,expected", [
+    (b"1 2 3\r\n0 0 1\r\n", [[1, 2, 3], [0, 0, 1]]),
+    (b"1 2 3\n0 0 1", [[1, 2, 3], [0, 0, 1]]),
+    (b"# only comments\n\n \t\n#\n", "no degree triples"),
+    (b"\n", "no degree triples"),
+    (b"1 2 3\n# c\n0 0 1234567890123456789\n", "line 3: .*below 10\\^18"),
+    (b"1 2 3\n1 2 3 4\n", "line 2: expected three integers"),
+], ids=["crlf", "no-final-newline", "comments-and-blanks", "one-blank-line",
+        "19-digit-degree", "four-fields"])
+def test_load_degree_file_layouts(tmp_path, body, expected):
+    path = tmp_path / "degrees.txt"
+    path.write_bytes(body)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            load_degree_file(path)
+    else:
+        assert load_degree_file(path).tolist() == expected
+
+
 def test_load_degree_file_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n4 five 6\n")

@@ -264,6 +264,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="column layout"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("rows,lineno", [
+        ([("a", "b", "c")], 1),
+        ([CSV_COLUMNS, ("poisson(5)", "independent", "30")], 2),
+        ([CSV_COLUMNS] + [("m", "c", n, "1") + ("0",) * (len(CSV_COLUMNS) - 4)
+                          for n in ("30", "x")], 3),
+    ], ids=["header", "short-row", "non-integer-n"])
+    def test_bad_resume_file_names_file_and_line(self, tmp_path, rows, lineno):
+        config = small_config(tmp_path)
+        with open(config.output, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError, match=f"m.csv: line {lineno}: "):
+            run_experiment(config)
+
     def test_log_line_per_cell(self, tmp_path):
         config = small_config(tmp_path, sizes=(20,), replicates=2)
         lines = []

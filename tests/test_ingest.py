@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import directed_pairs, edge_sets, random_simple_graph, undirected_pairs
+from _oracles import (
+    directed_pairs,
+    edge_sets,
+    int_rows_reference,
+    random_simple_graph,
+    undirected_pairs,
+)
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
     _LINE,
@@ -47,11 +53,11 @@ FIXTURE_GOLDEN_PDGRAPH = (
 
 class TestParse:
     def test_comments_and_order(self):
-        raw = parse_edge_list(io.StringIO("# c\n1 2\n2 1\n"))
+        raw = parse_edge_list(io.BytesIO(b"# c\n1 2\n2 1\n"))
         assert raw.arcs.tolist() == [[1, 2], [2, 1]]
 
     def test_empty_input(self):
-        raw = parse_edge_list(io.StringIO(""))
+        raw = parse_edge_list(io.BytesIO(b""))
         assert raw.num_arcs == 0
         g, stats = to_partially_directed(raw)
         assert g.n == 0 and stats.directed + stats.undirected == 0
@@ -59,29 +65,45 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "body,where",
-        [("1 2\nx 2\n", "line 2"), ("1\n", "line 1"), ("1 2 3\n", "line 1")],
+        [("1 2\nx 2\n", "line 2"), ("1\n", "line 1"), ("1 2 3\n", "line 1"),
+         ("1 2\r\n3 4\r\n5 x\r\n", "line 3"),
+         ("1 2\n3 1234567890123456789\n", "line 2"),
+         ("1 2\n-1 2", "line 2")],
     )
     def test_errors_carry_line_numbers(self, body, where):
         with pytest.raises(ParseError, match=where):
-            parse_edge_list(io.StringIO(body))
+            parse_edge_list(io.BytesIO(body.encode()))
+
+    @pytest.mark.parametrize("body,arcs", [
+        (b"1 2\r\n3 4\r\n", [[1, 2], [3, 4]]),
+        (b"1 2  # trailing comment\n3\t4#\n", [[1, 2], [3, 4]]),
+        (b"1 2\n3 4", [[1, 2], [3, 4]]),
+        (b"123456789012345678 0\n", [[123456789012345678, 0]]),
+        (b"# comments\n\n \t\n# only\n", []),
+        (b"\n", []),
+    ], ids=["crlf", "trailing-comment", "no-final-newline", "18-digit-id",
+            "comments-and-blanks", "one-blank-line"])
+    def test_accepted_layouts(self, body, arcs):
+        raw = parse_edge_list(io.BytesIO(body))
+        assert raw.arcs.tolist() == arcs and raw.arcs.shape == (len(arcs), 2)
 
 
 class TestClassify:
     def test_reciprocal_and_self(self):
         g, stats = to_partially_directed(
-            parse_edge_list(io.StringIO("1 2\n2 1\n3 3\n"))
+            parse_edge_list(io.BytesIO(b"1 2\n2 1\n3 3\n"))
         )
         assert g.num_directed == 0 and g.num_undirected == 1
         assert stats.self_arcs_dropped == 1 and stats.n == 3
 
     def test_dedupe_before_reciprocal(self):
         """A doubled (u,v) without its mirror stays one directed edge."""
-        g, stats = to_partially_directed(parse_edge_list(io.StringIO("5 9\n5 9\n")))
+        g, stats = to_partially_directed(parse_edge_list(io.BytesIO(b"5 9\n5 9\n")))
         assert g.num_directed == 1 and g.num_undirected == 0
         assert stats.duplicates_dropped == 1
 
     def test_densify_first_appearance(self):
-        g, _ = to_partially_directed(parse_edge_list(io.StringIO("42 7\n7 99\n")))
+        g, _ = to_partially_directed(parse_edge_list(io.BytesIO(b"42 7\n7 99\n")))
         assert directed_pairs(g).tolist() == [[0, 1], [1, 2]]
 
     @settings(max_examples=150, deadline=None)
@@ -92,7 +114,7 @@ class TestClassify:
     )
     def test_arc_conservation(self, pairs):
         text = "".join(f"{a} {b}\n" for a, b in pairs)
-        raw = parse_edge_list(io.StringIO(text))
+        raw = parse_edge_list(io.BytesIO(text.encode()))
         g, stats = to_partially_directed(raw)
         validate_simple_graph(g)
         assert (
@@ -187,7 +209,7 @@ class TestPdgraphRoundTrip:
         assert path.read_text() == path2.read_text()
 
     def test_isolated_vertices_survive(self, tmp_path):
-        g, _ = to_partially_directed(parse_edge_list(io.StringIO("1 2\n")))
+        g, _ = to_partially_directed(parse_edge_list(io.BytesIO(b"1 2\n")))
         # hand-build a file with a larger n than the edges mention
         path = tmp_path / "iso.pdgraph"
         path.write_text("# pdgraph n=4\nD 1 2\n")
@@ -282,6 +304,43 @@ def test_degree_file_loader_accepts_pdgraph(tmp_path):
     write_pdgraph(g, path)
     triples = load_degree_file(path)
     assert triples.tolist() == g.degree_triples().tolist()
+
+
+# bodies from the characters of the row formats, whole rows of two or
+# three ids, and digit runs on both sides of the 18-digit limit
+_ROW_PIECE = st.sampled_from([b"0", b"7", b"42", b" ", b"\t", b"#", b"-", b"x",
+                              b"\r\n", b"\n"])
+_DIGIT_RUN = st.text("0123456789", min_size=1, max_size=21).map(str.encode)
+_ROW = st.builds(
+    lambda ids, sep, tail, end: sep.join(ids) + tail + end,
+    st.lists(_DIGIT_RUN, min_size=2, max_size=3),
+    st.sampled_from([b" ", b"\t", b" \t "]),
+    st.sampled_from([b"", b" ", b" # note", b"#-x"]),
+    st.sampled_from([b"\n", b"\r\n"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=st.lists(st.one_of(_ROW, _ROW_PIECE, _DIGIT_RUN), max_size=12).map(b"".join))
+def test_readers_agree_with_line_by_line_reference(tmp_path_factory, body):
+    """parse_edge_list and load_degree_file give the reference's rows, or
+    fail at the reference's first bad line."""
+    path = tmp_path_factory.getbasetemp() / "rows.txt"
+    path.write_bytes(body)
+    pairs, triples = int_rows_reference(body, 2), int_rows_reference(body, 3)
+    if isinstance(pairs, int):
+        with pytest.raises(ParseError, match=f"^line {pairs}: "):
+            parse_edge_list(io.BytesIO(body))
+    else:
+        assert parse_edge_list(io.BytesIO(body)).arcs.tolist() == pairs
+    if isinstance(triples, int):
+        with pytest.raises(ParseError, match=f": line {triples}: "):
+            load_degree_file(path)
+    elif not triples:
+        with pytest.raises(ValueError, match="no degree triples"):
+            load_degree_file(path)
+    else:
+        assert load_degree_file(path).tolist() == triples
 
 
 SNAP_TABLE = [

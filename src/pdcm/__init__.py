@@ -14,11 +14,9 @@ from .components import (
 )
 from .degrees import (
     DegreeSequence,
-    DegreeTriple,
     JointDegreeDistribution,
     load_degree_file,
     sample_sequence,
-    scale_free_mean,
     scale_free_sf,
 )
 from .experiment import ExperimentConfig, run_cell, run_experiment
@@ -39,7 +37,6 @@ from .metrics import (
 )
 from .rng import derive_seed, make_generator, replicate_seed, splitmix64
 from .saveprob import (
-    SaveAttemptSpec,
     exact_save_probability,
     monte_carlo_save_frequency,
     parse_save_spec,
@@ -52,13 +49,11 @@ __all__ = [
     "ComponentSummary",
     "DegreeCensus",
     "DegreeSequence",
-    "DegreeTriple",
     "ErasureReport",
     "ExperimentConfig",
     "IngestStats",
     "JointDegreeDistribution",
     "MultiGraph",
-    "SaveAttemptSpec",
     "SimpleGraph",
     "component_labels",
     "degree_census",
@@ -77,7 +72,6 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "sample_sequence",
-    "scale_free_mean",
     "scale_free_sf",
     "simplify",
     "splitmix64",

@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,43 +45,9 @@ def check_vertex_count(n: int) -> None:
                          "because vertex pairs are encoded as one int64 each")
 
 
-class DegreeTriple(NamedTuple):
-    in_deg: int
-    out_deg: int
-    und_deg: int
-
-
 # ---------------------------------------------------------------------------
-# zeta machinery for the scale-free family
+# the scale-free family
 # ---------------------------------------------------------------------------
-
-def hurwitz_zeta(s: float, a: float, terms: int = 80) -> float:
-    """Hurwitz zeta sum_{k>=0} (k+a)^-s for s > 1, a > 0.
-
-    Direct summation of the first ``terms`` terms plus the Euler-Maclaurin
-    tail correction through the third-derivative term.  With the default
-    80 head terms the neglected correction is of order
-    s^5 (terms+a)^-(s+5) / 30240, i.e. below 1e-14 for every s > 1 used
-    here -- comfortably past ten significant digits.
-    """
-    if s <= 1.0:
-        raise ValueError("hurwitz_zeta requires s > 1")
-    if a <= 0.0:
-        raise ValueError("hurwitz_zeta requires a > 0")
-    k = np.arange(terms, dtype=np.float64)
-    head = float(np.sum((k + a) ** (-s)))
-    x = terms + a
-    tail = x ** (1.0 - s) / (s - 1.0)
-    tail += 0.5 * x ** (-s)
-    tail += s * x ** (-s - 1.0) / 12.0
-    tail -= s * (s + 1.0) * (s + 2.0) * x ** (-s - 3.0) / 720.0
-    return head + tail
-
-
-def zeta(s: float) -> float:
-    """Riemann zeta for s > 1."""
-    return hurwitz_zeta(s, 1.0)
-
 
 def _check_gamma(gamma: float) -> None:
     if gamma <= 2.0:
@@ -95,9 +60,12 @@ def scale_free_offset(gamma: float) -> float:
 
     This is the unique shift that makes the survival function
     ((k + d)/d)^-(gamma-1) a proper distribution function on {1, 2, ...}.
+    scipy.special is imported here, so only scale-free runs load it.
     """
     _check_gamma(gamma)
-    return (zeta(gamma) * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0))
+    from scipy.special import zeta
+
+    return (float(zeta(gamma)) * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0))
 
 
 def scale_free_sf(gamma: float, k):
@@ -134,19 +102,6 @@ def _scale_free_bulk(gamma: float, u: np.ndarray) -> np.ndarray:
     f_prev = np.where(prev >= 1, 1.0 - (d / (np.maximum(prev, 1) + d)) ** s, 0.0)
     guess = guess - ((prev >= 1) & (f_prev >= u))
     return guess
-
-
-def scale_free_mean(gamma: float) -> float:
-    """Exact mean of the power law, via the survival-series identity.
-
-    E[X] = sum_{k>=0} P(X > k) = d^(gamma-1) * hurwitz_zeta(gamma-1, d),
-    evaluated with the Euler-Maclaurin machinery above; the remainder is
-    far below 1e-9.  Partial sums of k*p_k are hopeless in comparison: at
-    gamma = 2.5 that tail decays like k^-1/2 and would need ~1e18 terms.
-    """
-    d = scale_free_offset(gamma)
-    s = gamma - 1.0
-    return d ** s * hurwitz_zeta(s, d)
 
 
 def _poisson_pmf_upto(lam: float, kmax: int) -> np.ndarray:
@@ -253,17 +208,25 @@ class DegreeSequence:
     def und_deg(self) -> np.ndarray:
         return self.triples[:, 2]
 
+    def _total(self, col: int) -> int:
+        """Exact stub total of one column: the int64 sum cannot wrap while
+        n * max < 2^63; past that it is taken over Python ints."""
+        c = self.triples[:, col]
+        if self.n * int(c.max()) < 2**63:
+            return int(c.sum())
+        return sum(c.tolist())
+
     @property
     def s_in(self) -> int:
-        return int(self.triples[:, 0].sum())
+        return self._total(0)
 
     @property
     def s_out(self) -> int:
-        return int(self.triples[:, 1].sum())
+        return self._total(1)
 
     @property
     def s_und(self) -> int:
-        return int(self.triples[:, 2].sum())
+        return self._total(2)
 
 
 def _draw_univariate(dist: JointDegreeDistribution, rng, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ their rows kept verbatim; the file is rewritten sorted by (n, seed).
 from __future__ import annotations
 
 import csv
+import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -163,14 +164,14 @@ def config_from_mapping(mapping) -> ExperimentConfig:
                                for key, value in mapping.items()})
 
 
-def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
-             n: int, cell_seed: int) -> dict:
+def run_cell(dist: JointDegreeDistribution, model_label: str, n: int,
+             cell_seed: int) -> dict:
     """One replicate: sample degrees, match stubs, simplify, measure."""
     seq = sample_sequence(dist, n, derive_seed(cell_seed, 0))
     g, report = simplify(match_stubs(seq, derive_seed(cell_seed, 1)))
     row = {
         "model": model_label,
-        "coupling": coupling,
+        "coupling": dist.coupling,
         "n": n,
         "seed": cell_seed,
         "d_tv": total_variation(degree_census(g), dist),
@@ -181,7 +182,7 @@ def run_cell(dist: JointDegreeDistribution, model_label: str, coupling: str,
     return row
 
 
-_worker_experiment = None  # (dist, label, coupling), set in each pool worker
+_worker_experiment = None  # (dist, label), set in each pool worker
 
 
 def _init_worker(*experiment):
@@ -207,21 +208,27 @@ def _read_completed(path) -> dict:
     completed = {}
     if not os.path.exists(path):
         return completed
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise ValueError(
-                f"{path}: line 1: existing output has a different column "
-                "layout; refusing to resume into it"
-            )
-        for row in reader:
-            try:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"malformed row {row!r}")
-                completed[(int(row[2]), int(row[3]))] = row
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != list(CSV_COLUMNS):
+        raise ValueError(
+            f"{path}: line 1: existing output has a different column "
+            "layout; refusing to resume into it"
+        )
+    for row in reader:
+        try:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"malformed row {row!r}")
+            completed[(int(row[2]), int(row[3]))] = row
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return completed
 
 
@@ -240,12 +247,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
     rows = dict(completed)
     with ExitStack() as stack:
         if config.jobs == 1 or len(pending) <= 1:
-            results = (run_cell(dist, label, config.coupling, *cell) for cell in pending)
+            results = (run_cell(dist, label, *cell) for cell in pending)
         else:
             # the fork start method launches every worker at the first submit
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(pending)), initializer=_init_worker,
-                initargs=(dist, label, config.coupling)))
+                initargs=(dist, label)))
             results = pool.map(_cell_task, pending)
         for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):
             rows[(n, cs)] = _format_row(row)

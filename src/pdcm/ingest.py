@@ -122,10 +122,9 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 # ---------------------------------------------------------------------------
 
 _WRITE_ROWS = 1 << 12
-# one body line of the canonical form; ids are decimal without leading zeros
-_LINE = re.compile(rb"[DU] [1-9][0-9]{0,9} [1-9][0-9]{0,9}")
-# the longest run of canonical lines from the start; possessive, so a bad
-# line stops it without any backtracking
+# the longest run of canonical lines ("D a b" or "U a b", ids decimal
+# without leading zeros) from the start; possessive, so a bad line stops it
+# without any backtracking
 _LINES = re.compile(rb"(?:[DU] [1-9][0-9]{0,9}+ [1-9][0-9]{0,9}+\n)*+")
 
 
@@ -147,8 +146,8 @@ def write_pdgraph(g: SimpleGraph, path) -> None:
 
 
 def _tokenize(body: bytes):
-    """(directed line count, (L, 2) ids) of a body whose every line matches
-    _LINE, else None.
+    """(directed line count, (L, 2) ids) of a body whose every line is
+    canonical, else None.
 
     The grammar admits D and U only as tags, so the D bytes count the
     directed lines and one fromstring pass over the untagged body parses

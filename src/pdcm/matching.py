@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrees import DegreeSequence, check_vertex_count
+from .degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
 from .rng import make_generator, make_generators
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
@@ -98,6 +98,9 @@ def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:
     """
     n = seq.n
     check_vertex_count(reps * n)
+    stubs = reps * max(seq.s_in, seq.s_out, seq.s_und)
+    if stubs > MAX_VERTICES:  # before the stub arrays are allocated
+        raise ValueError(f"{stubs} stubs of one type: the limit is {MAX_VERTICES}")
     in_stubs, out_stubs, und_stubs, longer = _stub_owners(seq)
     und, drawn = np.tile(und_stubs, (reps, 1)), np.tile(longer, (reps, 1))
     for rng, und_row, drawn_row in zip(rngs, und, drawn):

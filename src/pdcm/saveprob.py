@@ -1,8 +1,8 @@
 """Exact save probability for a tagged vertex under stub matching.
 
-Fix a degree sequence and tag vertex 1.  A *save attempt* is the event
-that every stub of vertex 1 attaches to a matching stub of a distinct
-other vertex -- the tagged vertex keeps its drawn degree triple through
+Fix a degree sequence (a ``DegreeSequence``) and tag the vertex in its
+row 0.  A *save attempt* is the event that every stub of the tagged
+vertex attaches to a matching stub of a distinct other vertex -- the tagged vertex keeps its drawn degree triple through
 simplification.  Conditional on the degrees, this probability has a
 closed form: a sum, over all ordered tuples of mutually distinct
 neighbour indices, of three chained attachment products (one chain per
@@ -27,12 +27,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .degrees import DegreeSequence, DegreeTriple, load_degree_file
+from .degrees import DegreeSequence, load_degree_file
 from .matching import match_stubs_union
 from .rng import derive_seed
 from .simplify import simplify
@@ -43,40 +42,15 @@ from .simplify import simplify
 _UNION_BUDGET = 1 << 18
 
 
-@dataclass(frozen=True)
-class SaveAttemptSpec:
-    """Degree data for one save-attempt computation.
-
-    ``target_degree`` is the triple of the tagged vertex; ``others``
-    holds the remaining n - 1 triples, so n = 1 + len(others) >= 2.
-    A nonzero probability additionally requires total(target_degree)
-    <= n - 1, since each stub needs its own distinct neighbour.
-    """
-
-    target_degree: DegreeTriple
-    others: tuple
-
-    def __post_init__(self):
-        tgt = DegreeTriple(*(int(x) for x in self.target_degree))
-        oth = tuple(DegreeTriple(*(int(x) for x in o)) for o in self.others)
-        if min(tgt) < 0 or any(min(o) < 0 for o in oth):
-            raise ValueError("degrees must be non-negative")
-        if not oth:
-            raise ValueError("need at least one vertex besides the target (n >= 2)")
-        object.__setattr__(self, "target_degree", tgt)
-        object.__setattr__(self, "others", oth)
-
-    @property
-    def n(self) -> int:
-        return 1 + len(self.others)
-
-    def degree_sequence(self) -> DegreeSequence:
-        """The full sequence with the tagged vertex at index 0."""
-        rows = [tuple(self.target_degree)] + [tuple(o) for o in self.others]
-        return DegreeSequence(np.asarray(rows, dtype=np.int64))
+def _split(seq: DegreeSequence):
+    """The tagged vertex's triple and the other rows, as Python ints."""
+    if seq.n < 2:
+        raise ValueError("need at least one vertex besides the target (n >= 2)")
+    target, *others = seq.triples.tolist()
+    return target, others
 
 
-def _step_denominators(spec: SaveAttemptSpec):
+def _step_denominators(seq: DegreeSequence):
     """Per-step denominators of the three attachment chains.
 
     Step r of a chain conditions on the previous r - 1 attachments, so
@@ -85,10 +59,8 @@ def _step_denominators(spec: SaveAttemptSpec):
     the in-stub chain, hence its pool starts d_in lower.  The w / v pool
     terms and the final guards are described in the module docstring.
     """
-    d_in, d_out, d_und = spec.target_degree
-    s_in = d_in + sum(o.in_deg for o in spec.others)
-    s_out = d_out + sum(o.out_deg for o in spec.others)
-    s_und = d_und + sum(o.und_deg for o in spec.others)
+    d_in, d_out, d_und = seq.triples[0].tolist()
+    s_in, s_out, s_und = seq.s_in, seq.s_out, seq.s_und
     w = s_in - s_out
     v = s_und % 2
 
@@ -106,7 +78,7 @@ def _step_denominators(spec: SaveAttemptSpec):
     return den_in, den_out, den_und
 
 
-def exact_save_probability(spec: SaveAttemptSpec) -> Fraction:
+def exact_save_probability(seq: DegreeSequence) -> Fraction:
     """Probability that every stub of the tagged vertex is saved.
 
     The summand for one index tuple is a product of per-step fractions
@@ -130,8 +102,8 @@ def exact_save_probability(spec: SaveAttemptSpec) -> Fraction:
     guard indicators keep every denominator positive, so no input can
     divide by zero.
     """
-    d_in, d_out, d_und = spec.target_degree
-    if d_in + d_out + d_und > len(spec.others):
+    (d_in, d_out, d_und), others = _split(seq)
+    if d_in + d_out + d_und > len(others):
         return Fraction(0)
 
     # coef[x][y][z] = sum over disjoint subsets A, B, C of the others
@@ -139,38 +111,38 @@ def exact_save_probability(spec: SaveAttemptSpec) -> Fraction:
     coef = [[[0] * (d_und + 1) for _ in range(d_out + 1)]
             for _ in range(d_in + 1)]
     coef[0][0][0] = 1
-    for other in spec.others:
+    for o_in, o_out, o_und in others:
         for x in range(d_in, -1, -1):
             for y in range(d_out, -1, -1):
                 for z in range(d_und, -1, -1):
                     base = coef[x][y][z]
                     if base == 0:
                         continue
-                    # each vertex may serve at most one stub of vertex 1,
+                    # each vertex may serve at most one tagged stub,
                     # so it extends exactly one of the three subsets
-                    if x < d_in and other.out_deg:
-                        coef[x + 1][y][z] += base * other.out_deg
-                    if y < d_out and other.in_deg:
-                        coef[x][y + 1][z] += base * other.in_deg
-                    if z < d_und and other.und_deg:
-                        coef[x][y][z + 1] += base * other.und_deg
+                    if x < d_in and o_out:
+                        coef[x + 1][y][z] += base * o_out
+                    if y < d_out and o_in:
+                        coef[x][y + 1][z] += base * o_in
+                    if z < d_und and o_und:
+                        coef[x][y][z + 1] += base * o_und
 
     numerator = (math.factorial(d_in) * math.factorial(d_out)
                  * math.factorial(d_und) * coef[d_in][d_out][d_und])
     if numerator == 0:
         return Fraction(0)
-    den_in, den_out, den_und = _step_denominators(spec)
+    den_in, den_out, den_und = _step_denominators(seq)
     return Fraction(numerator, math.prod(den_in) * math.prod(den_out)
                     * math.prod(den_und))
 
 
-def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
+def monte_carlo_save_frequency(seq: DegreeSequence, replicates: int,
                                seed: int):
     """Estimate the save probability by running the real pipeline.
 
     Each replicate matches stubs on the fixed degree sequence and
     simplifies the result; a success is recorded when the tagged
-    vertex's final degree triple equals ``target_degree`` -- the same
+    vertex's final degree triple equals its drawn one -- the same
     criterion the simplifier uses for its modified-vertex count.
 
     Returns ``(frequency, stderr)`` with the binomial standard error
@@ -183,10 +155,9 @@ def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    seq = spec.degree_sequence()
+    target, _ = _split(seq)
     n = seq.n
     chunk = max(1, _UNION_BUDGET // (n + seq.s_in + seq.s_out + seq.s_und))
-    target = np.asarray(spec.target_degree, dtype=np.int64)
     hits = 0
     for start in range(0, replicates, chunk):
         seeds = derive_seed(seed, np.arange(start, min(start + chunk, replicates),
@@ -198,11 +169,11 @@ def monte_carlo_save_frequency(spec: SaveAttemptSpec, replicates: int,
     return freq, stderr
 
 
-def parse_save_spec(path) -> SaveAttemptSpec:
+def parse_save_spec(path) -> DegreeSequence:
     """Read a save-attempt file through load_degree_file: the first triple
-    is the target, the rest are the other vertices."""
-    triples = load_degree_file(path).tolist()
-    if len(triples) < 2:
+    is the target, row 0 of the sequence, the rest are the other vertices."""
+    seq = DegreeSequence(load_degree_file(path))
+    if seq.n < 2:
         raise ValueError(f"{path}: need a target line plus at least one "
                          "other vertex")
-    return SaveAttemptSpec(target_degree=triples[0], others=tuple(triples[1:]))
+    return seq

@@ -128,8 +128,9 @@ def _pairings(items):
             yield [(first, rest[i])] + tail
 
 
-def enumerate_save_fraction(spec):
-    """Saved share of vertex 0, by exhausting every matching outcome.
+def enumerate_save_fraction(seq):
+    """Saved share of vertex 0 of a DegreeSequence, by exhausting every
+    matching outcome.
 
     Mirrors the matching distribution directly, with no probability
     formula involved: an injective assignment of the shorter directed
@@ -146,7 +147,6 @@ def enumerate_save_fraction(spec):
 
     from pdcm.simplify import simplify
 
-    seq = spec.degree_sequence()
     n = seq.n
     in_stubs = [v for v in range(n) for _ in range(int(seq.in_deg[v]))]
     out_stubs = [v for v in range(n) for _ in range(int(seq.out_deg[v]))]
@@ -194,7 +194,7 @@ def enumerate_save_fraction(spec):
     return Fraction(saved, len(dir_outcomes) * len(und_outcomes))
 
 
-def exact_by_enumeration(spec):
+def exact_by_enumeration(seq):
     """Direct sum over every ordered tuple of distinct neighbour indices.
 
     (n-1)(n-2)...(n-d) terms, so only usable for tiny instances; an
@@ -209,19 +209,17 @@ def exact_by_enumeration(spec):
 
     from pdcm.saveprob import _step_denominators
 
-    d_in, d_out, d_und = spec.target_degree
+    (d_in, d_out, d_und), *others = seq.triples.tolist()
     d = d_in + d_out + d_und
-    if d > len(spec.others):
+    if d > len(others):
         return Fraction(0)
 
-    den_in, den_out, den_und = _step_denominators(spec)
+    den_in, den_out, den_und = _step_denominators(seq)
     denominator = math.prod(den_in) * math.prod(den_out) * math.prod(den_und)
-    outs = [o.out_deg for o in spec.others]
-    ins = [o.in_deg for o in spec.others]
-    unds = [o.und_deg for o in spec.others]
+    ins, outs, unds = zip(*others)
 
     total = 0
-    for tup in permutations(range(len(spec.others)), d):
+    for tup in permutations(range(len(others)), d):
         term = 1
         for idx in tup[:d_in]:
             term *= outs[idx]
@@ -234,7 +232,8 @@ def exact_by_enumeration(spec):
 
 
 def save_battery(count=10, seed=20260815):
-    """Deterministic random save-attempt specs (n <= 6, degrees <= 2).
+    """Deterministic random save-attempt specs (n <= 6, degrees <= 2), as
+    DegreeSequences whose row 0 is the tagged vertex.
 
     count - 2 specs with probability strictly inside (0, 1) -- the
     informative regime for exact-vs-sampled agreement -- plus one
@@ -243,17 +242,14 @@ def save_battery(count=10, seed=20260815):
     """
     import numpy as np
 
-    from pdcm.degrees import DegreeTriple
-    from pdcm.saveprob import SaveAttemptSpec, exact_save_probability
+    from pdcm.degrees import DegreeSequence
+    from pdcm.saveprob import exact_save_probability
 
     rng = np.random.default_rng(seed)
     mixed, zero, one = [], [], []
     while len(mixed) < count - 2 or not zero or not one:
         n = int(rng.integers(3, 7))
-        tgt = DegreeTriple(*(int(x) for x in rng.integers(0, 3, 3)))
-        oth = tuple(DegreeTriple(*(int(x) for x in rng.integers(0, 3, 3)))
-                    for _ in range(n - 1))
-        s = SaveAttemptSpec(tgt, oth)
+        s = DegreeSequence([rng.integers(0, 3, 3) for _ in range(n)])
         p = exact_save_probability(s)
         if p == 0 and len(zero) < 1:
             zero.append(s)
@@ -264,7 +260,7 @@ def save_battery(count=10, seed=20260815):
     return mixed + zero + one
 
 
-def monte_carlo_reference(spec, replicates, seed):
+def monte_carlo_reference(seq, replicates, seed):
     """The save-frequency estimator as a plain per-replicate loop.
 
     Replicate r matches on ``derive_seed(seed, r)`` and is simplified on
@@ -277,8 +273,7 @@ def monte_carlo_reference(spec, replicates, seed):
     from pdcm.rng import derive_seed
     from pdcm.simplify import simplify
 
-    seq = spec.degree_sequence()
-    drawn = list(spec.target_degree)
+    drawn = seq.triples[0].tolist()
     hits = 0
     for r in range(replicates):
         g, _ = simplify(match_stubs(seq, derive_seed(seed, r)))
@@ -316,6 +311,23 @@ def _first_atom(holds) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def scale_free_mean(gamma):
+    """Exact mean of the power law, via the survival-series identity
+
+        E[X] = sum_{k>=0} P(X > k) = d^(gamma-1) * zeta(gamma - 1, d)
+
+    with the Hurwitz zeta.  Partial sums of k*p_k are hopeless in
+    comparison: at gamma = 2.5 that tail decays like k^-1/2 and would
+    need ~1e18 terms.
+    """
+    from scipy.special import zeta
+
+    from pdcm.degrees import scale_free_offset
+
+    d = scale_free_offset(gamma)
+    return d ** (gamma - 1.0) * float(zeta(gamma - 1.0, d))
 
 
 def scale_free_cdf(gamma, k):

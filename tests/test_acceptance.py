@@ -18,21 +18,20 @@ from _oracles import (
     random_simple_graph,
     save_battery,
     scale_free_cdf,
+    scale_free_mean,
 )
 from pdcm.components import component_labels, strongly_connected_components
 from pdcm.degrees import (
-    DegreeTriple,
+    DegreeSequence,
     JointDegreeDistribution,
     load_degree_file,
     sample_sequence,
-    scale_free_mean,
 )
 from pdcm.ingest import ingest_path
 from pdcm.matching import match_stubs
 from pdcm.metrics import degree_census, total_variation
 from pdcm.rng import derive_seed, replicate_seed
 from pdcm.saveprob import (
-    SaveAttemptSpec,
     exact_save_probability,
     monte_carlo_save_frequency,
 )
@@ -174,16 +173,14 @@ def test_criterion_1_edge_list_ingestion():
 
 def test_criterion_2_exact_vs_simulated_save_probability():
     t0 = time.perf_counter()
-    tri = SaveAttemptSpec(DegreeTriple(1, 1, 0),
-                          (DegreeTriple(1, 1, 0), DegreeTriple(1, 1, 0)))
+    tri = DegreeSequence([(1, 1, 0), (1, 1, 0), (1, 1, 0)])
     exact = exact_save_probability(tri)
     freq, se = monte_carlo_save_frequency(tri, 100_000, seed=2024)
     ok = exact == Fraction(1, 3) and abs(freq - 1 / 3) <= 3 * se
 
     battery = save_battery()
     assert len(battery) >= 10
-    assert all(s.n <= 6 and max(max(t) for t in (s.target_degree, *s.others)) <= 2
-               for s in battery)
+    assert all(s.n <= 6 and s.triples.max() <= 2 for s in battery)
     worst = 0.0
     for i, spec in enumerate(battery):
         ex = float(exact_save_probability(spec))

@@ -72,6 +72,27 @@ class TestGenerate:
         assert rc == 1 and "limit" in err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_stub_total_past_limit_is_runtime_error(self, tmp_path, capsys,
+                                                    monkeypatch, n):
+        """A stub total past 2^31 exits 1 with the total and the limit,
+        before any stub array is built.  At n = 100 the total, 10^19 - 100,
+        wraps around in an int64 sum."""
+        def no_stub_arrays(seq):
+            raise AssertionError("stub arrays were built")
+
+        monkeypatch.setattr("pdcm.matching._stub_owners", no_stub_arrays)
+        hub = tmp_path / "hub.txt"
+        hub.write_text("0 0 99999999999999999\n")
+        rc, _, err = run(capsys, "generate", "--model", "empirical",
+                         "--coupling", "dependent", "--degrees", str(hub),
+                         "--n", str(n), "--seed", "1",
+                         "--output", str(tmp_path / "g"),
+                         "--report", str(tmp_path / "r"))
+        assert rc == 1
+        assert f"{n * 99999999999999999} stubs" in err and str(2**31) in err
+        assert not (tmp_path / "g").exists()
+
     def test_bad_degree_file_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "generate", "--model", "empirical",
                          "--degrees", str(tmp_path / "nope.txt"),

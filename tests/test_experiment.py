@@ -163,7 +163,7 @@ class TestRunCell:
     def test_matches_hand_composed_pipeline(self):
         dist = JointDegreeDistribution.poisson(5.0, "independent")
         cs = replicate_seed(11, 0, 0)
-        row = run_cell(dist, "poisson(5)", "independent", 200, cs)
+        row = run_cell(dist, "poisson(5)", 200, cs)
         seq = sample_sequence(dist, 200, derive_seed(cs, 0))
         g, report = simplify(match_stubs(seq, derive_seed(cs, 1)))
         assert row["d_tv"] == total_variation(degree_census(g), dist)
@@ -173,7 +173,7 @@ class TestRunCell:
 
     def test_row_covers_schema(self):
         dist = JointDegreeDistribution.poisson(5.0, "independent")
-        row = run_cell(dist, "poisson(5)", "independent", 50, 1)
+        row = run_cell(dist, "poisson(5)", 50, 1)
         assert set(row) == set(CSV_COLUMNS)
         assert 0.0 <= row["d_tv"] <= 1.0
 
@@ -269,10 +269,14 @@ class TestRunExperiment:
         ([CSV_COLUMNS, ("poisson(5)", "independent", "30")], 2),
         ([CSV_COLUMNS] + [("m", "c", n, "1") + ("0",) * (len(CSV_COLUMNS) - 4)
                           for n in ("30", "x")], 3),
-    ], ids=["header", "short-row", "non-integer-n"])
+        ([CSV_COLUMNS] + [(m, "c", "30", s) + ("0",) * (len(CSV_COLUMNS) - 4)
+                          for m, s in (("m", "1"), ("m\xff", "2"))], 3),
+    ], ids=["header", "short-row", "non-integer-n", "non-utf8"])
     def test_bad_resume_file_names_file_and_line(self, tmp_path, rows, lineno):
         config = small_config(tmp_path)
-        with open(config.output, "w", newline="") as fh:
+        # latin-1 writes "\xff" as the byte 0xff, which UTF-8 cannot decode;
+        # the other rows are ASCII, so their bytes are as in UTF-8
+        with open(config.output, "w", newline="", encoding="latin-1") as fh:
             csv.writer(fh).writerows(rows)
         with pytest.raises(ValueError, match=f"m.csv: line {lineno}: "):
             run_experiment(config)
@@ -290,8 +294,8 @@ class TestRunExperiment:
         run_experiment(config)
         with open(config.output, newline="") as fh:
             row = list(csv.DictReader(fh))[0]
-        cell = run_cell(config.distribution(), config.model_label(),
-                        config.coupling, 40, config.cell_seed(0, 0))
+        cell = run_cell(config.distribution(), config.model_label(), 40,
+                        config.cell_seed(0, 0))
         for col in ("d_tv", "modified_per_vertex", "prop_directed"):
             assert float(row[col]) == cell[col]
 

@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from _oracles import (
 )
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
-    _LINE,
     IngestStats,
     ParseError,
     _classify,
@@ -181,6 +181,9 @@ class TestFixtureFile:
         assert cs.largest_relative == pytest.approx(5 / 6)
 
 
+# one body line of the canonical pdgraph form; ids are decimal without
+# leading zeros
+LINE = re.compile(rb"[DU] [1-9][0-9]{0,9} [1-9][0-9]{0,9}")
 CANONICAL_LINE = st.builds("{} {} {}".format, st.sampled_from("DU"),
                            st.integers(1, 10**10 - 1), st.integers(1, 10**10 - 1))
 
@@ -283,7 +286,7 @@ class TestPdgraphRoundTrip:
         body = "".join(row + "\n" for row in rows).encode()
         lines = body.split(b"\n")[:-1]
         tokens = _tokenize(body)
-        grammatical = all(_LINE.fullmatch(line) for line in lines)
+        grammatical = all(LINE.fullmatch(line) for line in lines)
         assert (tokens is not None) == grammatical
         if grammatical:
             assert tokens[1].tolist() == [

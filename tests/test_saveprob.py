@@ -24,20 +24,24 @@ from _oracles import (
     save_battery,
 )
 from pdcm import matching, saveprob
-from pdcm.degrees import DegreeTriple
+from pdcm.degrees import DegreeSequence
 from pdcm.rng import derive_seed
 from pdcm.saveprob import (
-    SaveAttemptSpec,
     exact_save_probability,
     monte_carlo_save_frequency,
     parse_save_spec,
 )
 
-T = DegreeTriple
+
+def S(*rows):
+    """A save-attempt spec: the DegreeSequence of the (in, out, und) rows,
+    the tagged vertex first."""
+    return DegreeSequence(rows)
+
 
 triple_st = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 spec_st = st.builds(
-    lambda tgt, oth: SaveAttemptSpec(T(*tgt), tuple(T(*o) for o in oth)),
+    lambda tgt, oth: S(tgt, *oth),
     triple_st,
     st.lists(triple_st, min_size=1, max_size=5),
 )
@@ -45,9 +49,7 @@ spec_st = st.builds(
 
 def _enumeration_cost(spec):
     """Outcome count of the full-matching oracle (to keep tests tiny)."""
-    s_in = spec.target_degree.in_deg + sum(o.in_deg for o in spec.others)
-    s_out = spec.target_degree.out_deg + sum(o.out_deg for o in spec.others)
-    s_und = spec.target_degree.und_deg + sum(o.und_deg for o in spec.others)
+    s_in, s_out, s_und = spec.s_in, spec.s_out, spec.s_und
     inj = math.perm(max(s_in, s_out), min(s_in, s_out))
     k = s_und - (s_und % 2)
     matchings = math.prod(range(1, k, 2)) if k else 1
@@ -56,50 +58,48 @@ def _enumeration_cost(spec):
 
 class TestExactExamples:
     def test_empty_target_is_certain(self):
-        assert exact_save_probability(
-            SaveAttemptSpec(T(0, 0, 0), (T(5, 3, 2), T(1, 1, 1)))) == 1
-        assert exact_save_probability(
-            SaveAttemptSpec(T(0, 0, 0), (T(0, 0, 0),))) == 1
+        assert exact_save_probability(S((0, 0, 0), (5, 3, 2), (1, 1, 1))) == 1
+        assert exact_save_probability(S((0, 0, 0), (0, 0, 0))) == 1
 
     def test_three_vertex_one_in_one_out(self):
         # 6 equally likely in/out bijections, 2 attach both stubs of
         # vertex 0 to distinct other vertices
-        spec = SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0)))
+        spec = S((1, 1, 0), (1, 1, 0), (1, 1, 0))
         assert exact_save_probability(spec) == Fraction(1, 3)
 
     def test_single_in_stub_two_donors(self):
-        spec = SaveAttemptSpec(T(1, 0, 0), (T(0, 1, 0), T(0, 1, 0)))
+        spec = S((1, 0, 0), (0, 1, 0), (0, 1, 0))
         assert exact_save_probability(spec) == 1
 
     def test_two_und_stubs(self):
         # 3 pairings of the 4 undirected stubs; the self-loop one fails
-        spec = SaveAttemptSpec(T(0, 0, 2), (T(0, 0, 1), T(0, 0, 1)))
+        spec = S((0, 0, 2), (0, 0, 1), (0, 0, 1))
         assert exact_save_probability(spec) == Fraction(2, 3)
 
     def test_odd_und_total_leaves_a_pool_slot(self):
         # 3 stubs total: vertex 0's stub pairs with either real partner
         # or stays unpaired, each with probability 1/3
-        spec = SaveAttemptSpec(T(0, 0, 1), (T(0, 0, 1), T(0, 0, 1)))
+        spec = S((0, 0, 1), (0, 0, 1), (0, 0, 1))
         assert exact_save_probability(spec) == Fraction(2, 3)
 
     def test_in_out_surplus_absorbed_by_pool(self):
         # 2 in-stubs vs 3 out-stubs; vertex 0's single in-stub always
         # wins some other vertex's out-stub
-        spec = SaveAttemptSpec(T(1, 0, 0), (T(0, 2, 0), T(1, 1, 0)))
+        spec = S((1, 0, 0), (0, 2, 0), (1, 1, 0))
         assert exact_save_probability(spec) == 1
 
     def test_pigeonhole_zero(self):
-        spec = SaveAttemptSpec(T(2, 2, 0), (T(1, 1, 0), T(1, 1, 0), T(1, 1, 0)))
+        spec = S((2, 2, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))
         assert exact_save_probability(spec) == 0
 
     def test_no_matching_stubs_zero_without_dividing(self):
         # nobody has an out-stub for the target's in-stub; the guard
         # indicator keeps the denominator positive
-        spec = SaveAttemptSpec(T(1, 0, 0), (T(1, 0, 0), T(1, 0, 0)))
+        spec = S((1, 0, 0), (1, 0, 0), (1, 0, 0))
         assert exact_save_probability(spec) == 0
 
     def test_returns_exact_fraction(self):
-        spec = SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0)))
+        spec = S((1, 1, 0), (1, 1, 0), (1, 1, 0))
         p = exact_save_probability(spec)
         assert isinstance(p, Fraction)
 
@@ -107,12 +107,12 @@ class TestExactExamples:
 class TestCrossValidation:
     def test_examples_match_full_matching_enumeration(self):
         cases = [
-            SaveAttemptSpec(T(0, 0, 0), (T(2, 1, 2), T(1, 1, 1))),
-            SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0))),
-            SaveAttemptSpec(T(1, 0, 0), (T(0, 1, 0), T(0, 1, 0))),
-            SaveAttemptSpec(T(0, 0, 2), (T(0, 0, 1), T(0, 0, 1))),
-            SaveAttemptSpec(T(0, 0, 1), (T(0, 0, 1), T(0, 0, 1))),
-            SaveAttemptSpec(T(1, 0, 0), (T(0, 2, 0), T(1, 1, 0))),
+            S((0, 0, 0), (2, 1, 2), (1, 1, 1)),
+            S((1, 1, 0), (1, 1, 0), (1, 1, 0)),
+            S((1, 0, 0), (0, 1, 0), (0, 1, 0)),
+            S((0, 0, 2), (0, 0, 1), (0, 0, 1)),
+            S((0, 0, 1), (0, 0, 1), (0, 0, 1)),
+            S((1, 0, 0), (0, 2, 0), (1, 1, 0)),
         ]
         for spec in cases:
             assert exact_save_probability(spec) == enumerate_save_fraction(spec)
@@ -140,9 +140,9 @@ class TestCrossValidation:
     @settings(max_examples=40, deadline=None)
     @given(spec_st, st.randoms(use_true_random=False))
     def test_permutation_invariance_in_others(self, spec, rnd):
-        shuffled = list(spec.others)
+        target, *shuffled = spec.triples.tolist()
         rnd.shuffle(shuffled)
-        permuted = SaveAttemptSpec(spec.target_degree, tuple(shuffled))
+        permuted = S(target, *shuffled)
         assert exact_save_probability(permuted) == exact_save_probability(spec)
 
     @settings(max_examples=40, deadline=None)
@@ -152,21 +152,20 @@ class TestCrossValidation:
         beyond the index range, so when the target already fits, the
         probability is unchanged (a sharper fact than 'never decreases');
         when the target was pigeonholed at 0 it can only go up."""
-        bigger = SaveAttemptSpec(spec.target_degree,
-                                 spec.others + (T(0, 0, 0),))
+        bigger = S(*spec.triples.tolist(), (0, 0, 0))
         p, q = exact_save_probability(spec), exact_save_probability(bigger)
         assert q >= p
-        if sum(spec.target_degree) <= len(spec.others):
+        if spec.triples[0].sum() <= spec.n - 1:
             assert q == p
 
 
 # balanced, odd undirected total, out-stub surplus, in-stub surplus with
 # an odd undirected total
 STREAM_SPECS = [
-    SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0))),
-    SaveAttemptSpec(T(0, 0, 1), (T(0, 0, 1), T(0, 0, 1))),
-    SaveAttemptSpec(T(1, 0, 0), (T(0, 2, 0), T(1, 1, 0))),
-    SaveAttemptSpec(T(2, 1, 1), (T(1, 0, 2), T(1, 1, 0), T(0, 0, 2))),
+    S((1, 1, 0), (1, 1, 0), (1, 1, 0)),
+    S((0, 0, 1), (0, 0, 1), (0, 0, 1)),
+    S((1, 0, 0), (0, 2, 0), (1, 1, 0)),
+    S((2, 1, 1), (1, 0, 2), (1, 1, 0), (0, 0, 2)),
 ]
 
 
@@ -201,32 +200,32 @@ class TestMonteCarlo:
         assert monte_carlo_save_frequency(STREAM_SPECS[3], 500, seed=3) == expected
 
     def test_three_vertex_frequency_within_three_sigma(self):
-        spec = SaveAttemptSpec(T(1, 1, 0), (T(1, 1, 0), T(1, 1, 0)))
+        spec = S((1, 1, 0), (1, 1, 0), (1, 1, 0))
         freq, se = monte_carlo_save_frequency(spec, 100_000, seed=2024)
         assert abs(freq - 1 / 3) <= 3 * se
         assert 0.0013 < se < 0.0017
         assert se == pytest.approx(math.sqrt(freq * (1 - freq) / 100_000))
 
     def test_empty_target_frequency_exactly_one(self):
-        spec = SaveAttemptSpec(T(0, 0, 0), (T(1, 2, 1), T(0, 1, 1)))
+        spec = S((0, 0, 0), (1, 2, 1), (0, 1, 1))
         freq, se = monte_carlo_save_frequency(spec, 2000, seed=1)
         assert freq == 1.0
         assert se == 0.0
 
     def test_pigeonhole_frequency_exactly_zero(self):
-        spec = SaveAttemptSpec(T(2, 2, 0), (T(1, 1, 0), T(1, 1, 0), T(1, 1, 0)))
+        spec = S((2, 2, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))
         assert exact_save_probability(spec) == 0
         freq, _ = monte_carlo_save_frequency(spec, 2000, seed=1)
         assert freq == 0.0
 
     def test_deterministic_given_seed(self):
-        spec = SaveAttemptSpec(T(1, 1, 1), (T(1, 1, 1), T(1, 1, 0), T(0, 1, 1)))
+        spec = S((1, 1, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1))
         a = monte_carlo_save_frequency(spec, 3000, seed=9)
         b = monte_carlo_save_frequency(spec, 3000, seed=9)
         assert a == b
 
     def test_replicates_must_be_positive(self):
-        spec = SaveAttemptSpec(T(0, 0, 0), (T(0, 0, 0),))
+        spec = S((0, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             monte_carlo_save_frequency(spec, 0, seed=1)
 
@@ -248,26 +247,32 @@ class TestMonteCarlo:
 class TestSpecValidation:
     def test_needs_at_least_one_other(self):
         with pytest.raises(ValueError, match="at least one"):
-            SaveAttemptSpec(T(1, 0, 0), ())
+            exact_save_probability(S((1, 0, 0)))
+        with pytest.raises(ValueError, match="at least one"):
+            monte_carlo_save_frequency(S((1, 0, 0)), 10, seed=1)
 
     def test_rejects_negative_degrees(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SaveAttemptSpec(T(-1, 0, 0), (T(0, 0, 0),))
+            S((-1, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError, match="non-negative"):
-            SaveAttemptSpec(T(1, 0, 0), (T(0, -2, 0),))
+            S((1, 0, 0), (0, -2, 0))
 
     def test_n_counts_target(self):
-        spec = SaveAttemptSpec(T(0, 0, 0), (T(1, 1, 0), T(0, 0, 1)))
-        assert spec.n == 3
+        """Row 0 is the target, not a neighbour: two undirected stubs need
+        two other rows, so n = 2 is pigeonholed and n = 3 is not."""
+        assert exact_save_probability(S((0, 0, 2), (0, 0, 2))) == 0
+        assert exact_save_probability(
+            S((0, 0, 2), (0, 0, 1), (0, 0, 1))) == Fraction(2, 3)
 
-    def test_degree_sequence_puts_target_first(self):
-        spec = SaveAttemptSpec(T(1, 2, 3), (T(4, 5, 6), T(7, 8, 9)))
-        seq = spec.degree_sequence()
+    def test_degree_sequence_puts_target_first(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_text("1 2 3\n4 5 6\n7 8 9\n")
+        seq = parse_save_spec(p)
         assert seq.triples.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
 
     def test_coerces_plain_tuples(self):
-        spec = SaveAttemptSpec((1, 1, 0), [(1, 1, 0), (1, 1, 0)])
-        assert spec.target_degree == T(1, 1, 0)
+        spec = DegreeSequence([(1, 1, 0), [1, 1, 0], np.array([1, 1, 0])])
+        assert spec.triples.dtype == np.int64
         assert exact_save_probability(spec) == Fraction(1, 3)
 
 
@@ -276,15 +281,13 @@ class TestParseSaveSpec:
         p = tmp_path / "spec.txt"
         p.write_text("1 1 0\n1 1 0\n1 1 0\n")
         spec = parse_save_spec(p)
-        assert spec.target_degree == T(1, 1, 0)
-        assert spec.others == (T(1, 1, 0), T(1, 1, 0))
+        assert spec.triples.tolist() == [[1, 1, 0], [1, 1, 0], [1, 1, 0]]
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "spec.txt"
         p.write_text("# target\n\n0 0 2  # tagged vertex\n0 0 1\n\n0 0 1\n")
         spec = parse_save_spec(p)
-        assert spec.target_degree == T(0, 0, 2)
-        assert len(spec.others) == 2
+        assert spec.triples.tolist() == [[0, 0, 2], [0, 0, 1], [0, 0, 1]]
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.txt"

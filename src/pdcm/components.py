@@ -9,7 +9,8 @@ The decomposition is delegated to scipy's compiled, iterative
 connected_components (connection="strong"): pure-Python Tarjan either
 recurses past the stack limit or crawls at millions of vertices, and the
 brute-force reachability oracle in the test suite keeps the dependency
-honest on small instances.
+honest on small instances.  scipy.sparse is imported inside
+component_labels, so only runs that decompose a graph load it.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .simplify import SimpleGraph
 
@@ -53,6 +52,9 @@ class ComponentSummary:
 
 def component_labels(g: SimpleGraph) -> np.ndarray:
     """Component id per vertex, over the directed reachability view."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = g.n
     rows = np.concatenate([g.dir_tails, g.und_u, g.und_v])
     cols = np.concatenate([g.dir_heads, g.und_v, g.und_u])

@@ -50,8 +50,10 @@ def check_vertex_count(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_gamma(gamma: float) -> None:
-    if gamma <= 2.0:
-        raise ValueError("gamma must exceed 2 so the mean degree is finite")
+    if not 2.0 < gamma < math.inf:
+        raise ValueError("gamma must exceed 2 so the mean degree is finite"
+                         if math.isfinite(gamma)
+                         else f"gamma must be a finite number, not {gamma}")
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +164,11 @@ class JointDegreeDistribution:
                 raise ValueError("scale_free distribution needs gamma")
             _check_gamma(self.gamma)
         else:
-            if self.lam is None or self.lam <= 0.0:
-                raise ValueError("poisson distribution needs lambda > 0")
+            lam = self.lam
+            if lam is None or not 0.0 < lam < math.inf:
+                raise ValueError("poisson distribution needs lambda > 0"
+                                 if lam is None or math.isfinite(lam)
+                                 else f"lambda must be a finite number, not {lam}")
 
     @classmethod
     def empirical(cls, triples, coupling: str) -> "JointDegreeDistribution":

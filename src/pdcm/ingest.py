@@ -68,11 +68,17 @@ def parse_edge_list(stream) -> RawArcList:
 def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel sparse ids to 0..n-1 in order of first appearance."""
     flat = arcs.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
-    dense = rank[np.searchsorted(uniq, flat)]
-    return dense.reshape(-1, 2), uniq.size
+    order = np.argsort(flat, kind="stable")
+    ids = flat[order]
+    starts = np.empty(ids.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    first = order[starts]  # stable, so each id's first position in flat
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    dense = np.empty(flat.size, dtype=np.int64)
+    dense[order] = rank[np.cumsum(starts) - 1]
+    return dense.reshape(-1, 2), first.size
 
 
 def _classify(arcs: np.ndarray, n: int):

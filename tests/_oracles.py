@@ -493,3 +493,14 @@ def int_rows_reference(body: bytes, width: int):
             return lineno
         rows.append([int(f) for f in fields])
     return rows
+
+
+def densify_reference(arcs):
+    """ingest._densify by np.unique and a search: sparse ids relabelled
+    0..n-1 in order of first appearance, as an (m, 2) int64 array and n."""
+    flat = arcs.ravel()
+    uniq, first = np.unique(flat, return_index=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
+    dense = rank[np.searchsorted(uniq, flat)]
+    return dense.reshape(-1, 2), uniq.size

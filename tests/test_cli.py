@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdcm
 from pdcm import saveprob
 from pdcm.cli import main
 from pdcm.ingest import read_pdgraph
@@ -92,6 +97,21 @@ class TestGenerate:
         assert rc == 1
         assert f"{n * 99999999999999999} stubs" in err and str(2**31) in err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag,model", [("--gamma", "scale_free"),
+                                            ("--lambda", "poisson")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_runtime_error(self, tmp_path, capsys,
+                                                   flag, model, value):
+        """Refused at entry with a message naming the value, before any
+        draw; nothing is written."""
+        out = tmp_path / "g.pdgraph"
+        rc, _, err = run(capsys, "generate", "--model", model, flag, value,
+                         "--n", "10", "--seed", "1", "--output", str(out),
+                         "--report", str(tmp_path / "r.json"))
+        assert rc == 1
+        assert f"{flag[2:]} must be a finite number, not {value}" in err
+        assert not out.exists()
 
     def test_bad_degree_file_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "generate", "--model", "empirical",
@@ -339,6 +359,61 @@ class TestOutputPins:
         assert rc == 0
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "dcd4ef19c1ec0459e0965a7f03c40141499c0c8baaecd5267d528e5670d9c07b")
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import pdcm, pdcm.cli
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = pdcm.cli.main(argv)
+    loaded[name] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(loaded))
+"""
+
+
+def test_only_components_loads_scipy_sparse(tmp_path):
+    """Importing pdcm loads no scipy module, and of the subcommands only
+    components loads scipy.sparse.  A fresh interpreter runs them in
+    turn, because this test process has imported scipy already."""
+    (tmp_path / "atom.txt").write_text("0 0 1\n1 1 0\n")
+    (tmp_path / "edges.txt").write_text("7 3\n3 7\n3 9\n")
+    (tmp_path / "tri.txt").write_text("1 1 0\n1 1 0\n1 1 0\n")
+    gen = ("--n", "20", "--seed", "1", "--report", str(tmp_path / "r.json"))
+    commands = [
+        ("generate-poisson", ["generate", "--model", "poisson", *gen,
+                              "--output", str(tmp_path / "g.pdgraph")]),
+        ("generate-empirical", ["generate", "--model", "empirical",
+                                "--degrees", str(tmp_path / "atom.txt"), *gen,
+                                "--output", str(tmp_path / "e.pdgraph")]),
+        ("ingest", ["ingest", "--input", str(tmp_path / "edges.txt"),
+                    "--output", str(tmp_path / "i.pdgraph")]),
+        ("experiment", ["experiment", "--model", "poisson", "--sizes", "20",
+                        "--replicates", "2", "--seed", "1", "--quiet",
+                        "--output", str(tmp_path / "m.csv")]),
+        ("oracle", ["oracle", "--spec", str(tmp_path / "tri.txt"),
+                    "--replicates", "100", "--seed", "1"]),
+        ("components", ["components", "--input", str(tmp_path / "g.pdgraph")]),
+    ]
+    src = str(Path(pdcm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(commands)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == []
+    for name, _ in commands[:-1]:
+        assert isinstance(loaded[name], list), (name, loaded[name])
+        assert "scipy.sparse" not in loaded[name], name
+    # positive control: the probe does see scipy once components runs
+    assert "scipy.sparse.csgraph" in loaded["components"]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    densify_reference,
     directed_pairs,
     edge_sets,
     int_rows_reference,
@@ -21,6 +22,7 @@ from pdcm.ingest import (
     IngestStats,
     ParseError,
     _classify,
+    _densify,
     _tokenize,
     ingest_path,
     parse_edge_list,
@@ -105,6 +107,19 @@ class TestClassify:
     def test_densify_first_appearance(self):
         g, _ = to_partially_directed(parse_edge_list(io.BytesIO(b"42 7\n7 99\n")))
         assert directed_pairs(g).tolist() == [[0, 1], [1, 2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*2 * [st.one_of(
+        st.integers(0, 6), st.integers(10**18 - 8, 10**18 - 1),
+        st.integers(0, 10**18 - 1))]), max_size=40))
+    def test_densify_matches_unique_reference(self, pairs):
+        """Exact equality, dtype included, with repeats, self-arcs and ids
+        near the grammar's 10^18 ceiling."""
+        arcs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        dense, n = _densify(arcs)
+        want, want_n = densify_reference(arcs)
+        assert n == want_n
+        assert dense.dtype == want.dtype and np.array_equal(dense, want)
 
     @settings(max_examples=150, deadline=None)
     @given(

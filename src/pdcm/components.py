@@ -9,8 +9,8 @@ The decomposition is delegated to scipy's compiled, iterative
 connected_components (connection="strong"): pure-Python Tarjan either
 recurses past the stack limit or crawls at millions of vertices, and the
 brute-force reachability oracle in the test suite keeps the dependency
-honest on small instances.  scipy.sparse is imported inside
-component_labels, so only runs that decompose a graph load it.
+honest on small instances.  scipy.sparse is imported inside _adjacency
+and component_labels, so only runs that decompose a graph load it.
 """
 from __future__ import annotations
 
@@ -50,18 +50,31 @@ class ComponentSummary:
         return self.sizes.size
 
 
-def component_labels(g: SimpleGraph) -> np.ndarray:
-    """Component id per vertex, over the directed reachability view."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+def _adjacency(g: SimpleGraph):
+    """The reachability view as an n x n CSR matrix with int32 structure.
+
+    No step makes a cast copy: the uint32 ids (below 2^31) are viewed as
+    int32, and the float64 weights connected_components wants are one
+    zero-stride 1.0, so its astype(float64) copies nothing.
+    """
+    from scipy.sparse import coo_matrix, csr_matrix
 
     n = g.n
-    rows = np.concatenate([g.dir_tails, g.und_u, g.und_v])
-    cols = np.concatenate([g.dir_heads, g.und_v, g.und_u])
-    adj = csr_matrix(
+    rows = np.concatenate([g.dir_tails, g.und_u, g.und_v]).view(np.int32)
+    cols = np.concatenate([g.dir_heads, g.und_v, g.und_u]).view(np.int32)
+    adj = coo_matrix(
         (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    ).tocsr()
+    del rows, cols
+    return csr_matrix((np.broadcast_to(np.float64(1.0), adj.nnz), adj.indices, adj.indptr),
+                      shape=(n, n))
+
+
+def component_labels(g: SimpleGraph) -> np.ndarray:
+    """Component id per vertex, over the directed reachability view."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(_adjacency(g), directed=True, connection="strong")
     return labels
 
 

@@ -45,15 +45,30 @@ def check_vertex_count(n: int) -> None:
                          "because vertex pairs are encoded as one int64 each")
 
 
+def check_lambda(lam: float) -> float:
+    """lam, checked to be a Poisson mean in (0, MAX_VERTICES]: a larger
+    mean gives one vertex more stubs of one type than the stub limit."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be a finite number, not {lam}")
+    if lam <= 0.0:
+        raise ValueError("poisson distribution needs lambda > 0")
+    if lam > MAX_VERTICES:
+        raise ValueError(f"lambda must be at most {MAX_VERTICES}, the limit of "
+                         f"stubs of one type, not {lam}")
+    return lam
+
+
 # ---------------------------------------------------------------------------
 # the scale-free family
 # ---------------------------------------------------------------------------
 
-def _check_gamma(gamma: float) -> None:
+def check_gamma(gamma: float) -> float:
+    """gamma, checked to be a scale-free exponent in (2, inf)."""
     if not 2.0 < gamma < math.inf:
         raise ValueError("gamma must exceed 2 so the mean degree is finite"
                          if math.isfinite(gamma)
                          else f"gamma must be a finite number, not {gamma}")
+    return gamma
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +79,7 @@ def scale_free_offset(gamma: float) -> float:
     ((k + d)/d)^-(gamma-1) a proper distribution function on {1, 2, ...}.
     scipy.special is imported here, so only scale-free runs load it.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     from scipy.special import zeta
 
     return (float(zeta(gamma)) * (gamma - 1.0)) ** (-1.0 / (gamma - 1.0))
@@ -162,13 +177,11 @@ class JointDegreeDistribution:
         elif self.kind == "scale_free":
             if self.gamma is None:
                 raise ValueError("scale_free distribution needs gamma")
-            _check_gamma(self.gamma)
+            check_gamma(self.gamma)
+        elif self.lam is None:
+            raise ValueError("poisson distribution needs lambda > 0")
         else:
-            lam = self.lam
-            if lam is None or not 0.0 < lam < math.inf:
-                raise ValueError("poisson distribution needs lambda > 0"
-                                 if lam is None or math.isfinite(lam)
-                                 else f"lambda must be a finite number, not {lam}")
+            check_lambda(self.lam)
 
     @classmethod
     def empirical(cls, triples, coupling: str) -> "JointDegreeDistribution":

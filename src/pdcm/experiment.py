@@ -28,6 +28,8 @@ from .degrees import (
     COUPLINGS,
     MODELS,
     JointDegreeDistribution,
+    check_gamma,
+    check_lambda,
     check_vertex_count,
     load_degree_file,
     sample_sequence,
@@ -116,8 +118,10 @@ class ExperimentConfig:
 
 def _config_value(key: str, value: str):
     """One setting converted from its string form (file value or flag)."""
-    if key in ("lambda", "gamma"):
-        return float(value)
+    if key == "lambda":
+        return check_lambda(float(value))
+    if key == "gamma":
+        return check_gamma(float(value))
     if key in ("replicates", "seed", "jobs"):
         return int(value)
     if key == "sizes":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import re
 from dataclasses import asdict, dataclass
 
@@ -29,6 +30,7 @@ from .simplify import (
     dedupe,
     encode,
     resolve_arcs,
+    run_starts,
 )
 
 
@@ -68,12 +70,9 @@ def parse_edge_list(stream) -> RawArcList:
 def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel sparse ids to 0..n-1 in order of first appearance."""
     flat = arcs.ravel()
-    order = np.argsort(flat, kind="stable")
-    ids = flat[order]
-    starts = np.empty(ids.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
-    first = order[starts]  # stable, so each id's first position in flat
+    order = np.argsort(flat)
+    starts = run_starts(flat[order])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))  # each id's first position
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     dense = np.empty(flat.size, dtype=np.int64)
@@ -128,6 +127,9 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 # ---------------------------------------------------------------------------
 
 _WRITE_ROWS = 1 << 12
+# bytes of pdgraph body tokenised at once: the reader's working memory on
+# top of the body and the pair codes
+_SLICE = 1 << 20
 # the longest run of canonical lines ("D a b" or "U a b", ids decimal
 # without leading zeros) from the start; possessive, so a bad line stops it
 # without any backtracking
@@ -165,6 +167,35 @@ def _tokenize(body: bytes):
     return body.count(b"D"), ids.reshape(-1, 2)
 
 
+def _read_body(fh, size: int) -> bytearray:
+    """The rest of fh, newline-terminated, read into one buffer of the
+    given size plus one byte; a longer stream (a pipe, say) is read on to
+    its end."""
+    body = bytearray(max(size, 0) + 1)
+    with memoryview(body) as view:
+        got = fh.readinto(view)
+    if got < len(body):
+        del body[got:]
+    else:
+        body += fh.read()
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    return body
+
+
+def _slices(body: bytearray):
+    """The newline-aligned slices of a newline-terminated body, as bytes,
+    each at most _SLICE long unless one line is longer."""
+    start = 0
+    with memoryview(body) as view:
+        while start < len(body):
+            stop = body.rfind(b"\n", start, start + _SLICE) + 1
+            if stop <= start:
+                stop = body.index(b"\n", start) + 1
+            yield bytes(view[start:stop])
+            start = stop
+
+
 def read_pdgraph(path) -> SimpleGraph:
     """Read a pdgraph file back; exact inverse of write_pdgraph.
 
@@ -176,9 +207,15 @@ def read_pdgraph(path) -> SimpleGraph:
     lines, ids in 1..n, each block strictly ascending, u < v, no self-loop,
     no reciprocal arc pair and no arc parallel to an undirected edge.  Any
     other file raises ParseError naming the offending line.
+
+    The body is read once into a buffer sized from the file and
+    tokenised in newline-aligned slices of _SLICE bytes, each encoded
+    straight into one pair-code array; the body is dropped before the
+    layout checks.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", "replace").rstrip("\n")
+        raw = fh.readline()
+        header = raw.decode("utf-8", "replace").rstrip("\n")
         if not header.startswith("# pdgraph n="):
             raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
         count = header[len("# pdgraph n="):]
@@ -189,25 +226,32 @@ def read_pdgraph(path) -> SimpleGraph:
             check_vertex_count(n)
         except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
-        body = fh.read()
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    tokens = _tokenize(body)
-    if tokens is None:
-        lineno, line = line_at(body, _LINES.match(body).end(), first=2)
-        raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
-                         f"got {line!r}")
-    n_dir, ids = tokens
-    first_u = body.find(b"U")
-    if 0 <= first_u < body.rfind(b"D"):
-        lineno = body.count(b"\n", 0, first_u) + 2
-        raise ParseError(f"{path}: line {lineno}: U line before a D line")
-    outside = (ids > n).any(axis=1)
-    if outside.any():
-        raise ParseError(f"{path}: line {int(outside.argmax()) + 2}: "
-                         f"vertex id outside 1..{n}")
-    ids -= 1
-    codes = encode(ids[:, 0], ids[:, 1], n)
+        body = _read_body(fh, os.fstat(fh.fileno()).st_size - len(raw))
+    codes = np.empty(body.count(b"\n"), dtype=np.int64)
+    row = n_dir = 0
+    first_u = outside = None  # rows of the first U line and first bad id
+    for chunk in _slices(body):
+        tokens = _tokenize(chunk)
+        if tokens is None:
+            lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
+            raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
+                             f"got {line!r}")
+        d, ids = tokens
+        if first_u is None and d < ids.shape[0]:
+            first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
+        bad = (ids > n).any(axis=1)
+        if outside is None and bad.any():
+            outside = row + int(bad.argmax())
+        ids -= 1
+        codes[row:row + ids.shape[0]] = encode(ids[:, 0], ids[:, 1], n)
+        row += ids.shape[0]
+        n_dir += d
+    del body
+    # the D lines lead exactly when the first U line follows all n_dir of them
+    if first_u is not None and first_u < n_dir:
+        raise ParseError(f"{path}: line {first_u + 2}: U line before a D line")
+    if outside is not None:
+        raise ParseError(f"{path}: line {outside + 2}: vertex id outside 1..{n}")
     bad = canonical_violation(n, codes[:n_dir], codes[n_dir:])
     if bad:
         message, block, row = bad

@@ -103,12 +103,14 @@ def canonical_violation(n: int, dir_codes: np.ndarray, und_codes: np.ndarray):
 
     Returns None, or ``(message, block, row)``: block is "D" for the arcs
     and "U" for the undirected edges, row the offending position in it.
+
+    The codes are never split into id arrays: for t, h < n the code
+    t * n + h is t * (n + 1) + (h - t), so a self-loop is a multiple of
+    n + 1, and u >= v exactly when (code // n) * (n + 1) >= code.
     """
-    t, h = np.divmod(dir_codes, n)
-    u, v = np.divmod(und_codes, n)
     for message, block, bad in (
-        ("directed self-loop", "D", t == h),
-        ("undirected edge needs u < v", "U", u >= v),
+        ("directed self-loop", "D", dir_codes % (n + 1) == 0),
+        ("undirected edge needs u < v", "U", und_codes // n * (n + 1) >= und_codes),
         ("directed edges unsorted or duplicated", "D",
          np.append(False, dir_codes[1:] <= dir_codes[:-1])),
         ("undirected edges unsorted or duplicated", "U",

@@ -504,3 +504,27 @@ def densify_reference(arcs):
     rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
     dense = rank[np.searchsorted(uniq, flat)]
     return dense.reshape(-1, 2), uniq.size
+
+
+def poisson_graph(n, seed=1):
+    """A Poisson(7) independent graph through the generation pipeline:
+    about 7n arcs and 3.5n undirected edges."""
+    from pdcm.degrees import JointDegreeDistribution, sample_sequence
+    from pdcm.matching import match_stubs
+    from pdcm.simplify import simplify
+
+    dist = JointDegreeDistribution.poisson(7, "independent")
+    return simplify(match_stubs(sample_sequence(dist, n, seed), seed + 1))[0]
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the bytes it allocated and held at once),
+    as tracemalloc sees them; numpy reports its array data to tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

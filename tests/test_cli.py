@@ -113,6 +113,22 @@ class TestGenerate:
         assert f"{flag[2:]} must be a finite number, not {value}" in err
         assert not out.exists()
 
+    def test_lambda_past_stub_limit_is_runtime_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A finite --lambda above 2^31 exits 1 with pdcm's message, not
+        numpy's, before any draw; nothing is written."""
+        def no_generator(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr("pdcm.degrees.make_generator", no_generator)
+        out = tmp_path / "g.pdgraph"
+        rc, _, err = run(capsys, "generate", "--model", "poisson", "--lambda", "1e300",
+                         "--n", "10", "--seed", "1", "--output", str(out),
+                         "--report", str(tmp_path / "r.json"))
+        assert rc == 1
+        assert f"lambda must be at most {2**31}, the limit of stubs of one type" in err
+        assert not out.exists()
+
     def test_bad_degree_file_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "generate", "--model", "empirical",
                          "--degrees", str(tmp_path / "nope.txt"),

@@ -7,12 +7,15 @@ from _oracles import (
     brute_scc_partition,
     brute_scc_sizes,
     directed_pairs,
+    poisson_graph,
     random_simple_graph,
     simple_graph,
+    traced_peak,
     undirected_pairs,
 )
 from pdcm.components import (
     ComponentSummary,
+    _adjacency,
     component_labels,
     strongly_connected_components,
     write_component_csv,
@@ -41,6 +44,36 @@ class TestExamples:
     def test_empty_graph_all_singletons(self):
         cs = strongly_connected_components(simple_graph(4, E, E, E, E))
         assert cs.sizes.tolist() == [1, 1, 1, 1]
+
+
+def test_scc_memory_is_bounded():
+    """The SCC adjacency holds no cast copy, and the decomposition copies
+    none of it.
+
+    Bounds, from the array sizes, with E adjacency entries (one per arc,
+    two per undirected edge), n vertices and 64 KiB for small objects:
+    - building the adjacency holds the int32 row and column arrays (8 per
+      entry), the COO's int8 ones (1) and the CSR's int32 indices and
+      int8 data (5), plus its int32 indptr (4 per vertex); the old build,
+      with the decomposition's float64 copy, reached 26 bytes per entry;
+    - the decomposition holds the labels and scipy's int32 work arrays,
+      at most four int32 per vertex and nothing per entry: the float64
+      weights are one zero-stride 1.0, so connected_components'
+      astype(float64) copies nothing.  A copy of the weights would add 8
+      bytes per entry, one of the indices 4."""
+    from scipy.sparse.csgraph import connected_components
+
+    g = poisson_graph(100_000)
+    entries = g.num_directed + 2 * g.num_undirected
+    adj, peak = traced_peak(_adjacency, g)
+    assert adj.nnz == entries
+    assert peak <= 14 * entries + 4 * (g.n + 1) + (64 << 10), \
+        f"{peak / entries:.1f} bytes per entry"
+    (count, labels), peak = traced_peak(
+        connected_components, adj, True, "strong")
+    assert labels.size == g.n and count >= 1
+    assert peak <= 16 * g.n + (64 << 10), f"{peak / g.n:.1f} bytes per vertex"
+    assert np.array_equal(labels, component_labels(g))
 
 
 class TestSummary:

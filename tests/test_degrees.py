@@ -27,6 +27,7 @@ from pdcm.degrees import (
     scale_free_sf,
     triple_probability,
 )
+from pdcm.rng import make_generator
 
 # Frozen reference values, computed once with mpmath at 30 decimal digits
 # (see test_zeta_against_mpmath, which re-derives them when mpmath is
@@ -209,6 +210,16 @@ class TestDistributionConstruction:
     def test_poisson_requires_positive_rate(self):
         with pytest.raises(ValueError):
             JointDegreeDistribution.poisson(0.0, "independent")
+
+    def test_poisson_rate_up_to_the_stub_limit(self):
+        """A mean above 2^31 gives one vertex more stubs of one type than
+        the limit; 2^31 itself is accepted, and its stream is numpy's."""
+        assert JointDegreeDistribution.poisson(2**31, "independent").lam == 2**31
+        seq = sample_sequence(JointDegreeDistribution.poisson(2**31, "dependent"), 3, seed=5)
+        want = make_generator(5).poisson(2**31, 3)
+        assert seq.triples.tolist() == [[k, k, k] for k in want.tolist()]
+        with pytest.raises(ValueError, match=f"lambda must be at most {2**31}, "):
+            JointDegreeDistribution.poisson(2**31 + 1, "independent")
 
 
 class TestSampling:

@@ -131,6 +131,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("line,what", [
+        ("gamma = nan", "gamma: gamma must be a finite number, not nan"),
+        ("gamma = 1.5", "gamma: gamma must exceed 2 so the mean degree is finite"),
+        ("lambda = nan", "lambda: lambda must be a finite number, not nan"),
+    ])
+    def test_range_error_names_file_and_line(self, tmp_path, line, what):
+        """A value out of its model's range is refused where its line is
+        known, with the message the distribution itself gives."""
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"model = scale_free\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(p)
+        assert str(exc.value) == f"{p}: line 2: {what}"
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("just words\n")

@@ -1,7 +1,9 @@
 import gzip
 import io
 import math
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,12 @@ from _oracles import (
     directed_pairs,
     edge_sets,
     int_rows_reference,
+    poisson_graph,
     random_simple_graph,
+    traced_peak,
     undirected_pairs,
 )
+from pdcm import ingest
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
     IngestStats,
@@ -210,6 +215,33 @@ def edit_line(line, at, text):
     return line[:at] + text + line[at + 1:]
 
 
+# pdgraph bodies the reader refuses: (body, line named, what it says); a
+# body that opens with its own header replaces the usual "# pdgraph n=3"
+NON_CANONICAL = [
+    ("D 1 3\nD 1 2\n", "line 3", "unsorted"),
+    ("D 1 2\nU 1 3\nD 2 3\n", "line 3", "U line before a D line"),
+    ("D 1 2\nU 1 3\nU 1 3\n", "line 4", "duplicated"),
+    ("D 1 2\nU 3 2\n", "line 3", "u < v"),
+    ("D 1 3\nD 2 1\nD 3 1\n", "line 4", "reciprocal"),
+    ("D 1 2\nD 3 2\nU 2 3\n", "line 3", "parallel"),
+    ("D 2 2\n", "line 2", "self-loop"),
+    ("D 1 2\n# note\nU 1 3\n", "line 3", "expected 'D u v'"),
+    ("D 1 2\nD 1  3\n", "line 3", "expected 'D u v'"),
+    ("D 1 2\nD 1 03\n", "line 3", "expected 'D u v'"),
+    ("D 1 2\nD 1\t3\n", "line 3", "expected 'D u v'"),
+    ("D 1 2 D 1 3\n", "line 2", "expected 'D u v'"),
+    ("D 0 2\n", "line 2", "expected 'D u v'"),
+    ("D 1 2\r\n", "line 2", "expected 'D u v'"),
+    ("D 1 2\nD 1 12345678901\n", "line 3", "expected 'D u v'"),
+    ("D 1 2\nD 1 x", "line 3", "expected 'D u v'"),
+    ("\nD 1 2\n", "line 2", "expected 'D u v'"),
+    ("# pdgraph n=+3\nD 1 2\n", "line 1", "leading zeros"),
+    ("# pdgraph n=0_3\nD 1 2\n", "line 1", "leading zeros"),
+    ("# pdgraph n= 3 \nD 1 2\n", "line 1", "leading zeros"),
+    ("# pdgraph n=03\nD 1 2\n", "line 1", "leading zeros"),
+]
+
+
 class TestPdgraphRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -252,32 +284,7 @@ class TestPdgraphRoundTrip:
         with pytest.raises(ParseError, match="line 2"):
             read_pdgraph(path)
 
-    @pytest.mark.parametrize(
-        "body,where,what",
-        [
-            ("D 1 3\nD 1 2\n", "line 3", "unsorted"),
-            ("D 1 2\nU 1 3\nD 2 3\n", "line 3", "U line before a D line"),
-            ("D 1 2\nU 1 3\nU 1 3\n", "line 4", "duplicated"),
-            ("D 1 2\nU 3 2\n", "line 3", "u < v"),
-            ("D 1 3\nD 2 1\nD 3 1\n", "line 4", "reciprocal"),
-            ("D 1 2\nD 3 2\nU 2 3\n", "line 3", "parallel"),
-            ("D 2 2\n", "line 2", "self-loop"),
-            ("D 1 2\n# note\nU 1 3\n", "line 3", "expected 'D u v'"),
-            ("D 1 2\nD 1  3\n", "line 3", "expected 'D u v'"),
-            ("D 1 2\nD 1 03\n", "line 3", "expected 'D u v'"),
-            ("D 1 2\nD 1\t3\n", "line 3", "expected 'D u v'"),
-            ("D 1 2 D 1 3\n", "line 2", "expected 'D u v'"),
-            ("D 0 2\n", "line 2", "expected 'D u v'"),
-            ("D 1 2\r\n", "line 2", "expected 'D u v'"),
-            ("D 1 2\nD 1 12345678901\n", "line 3", "expected 'D u v'"),
-            ("D 1 2\nD 1 x", "line 3", "expected 'D u v'"),
-            ("\nD 1 2\n", "line 2", "expected 'D u v'"),
-            ("# pdgraph n=+3\nD 1 2\n", "line 1", "leading zeros"),
-            ("# pdgraph n=0_3\nD 1 2\n", "line 1", "leading zeros"),
-            ("# pdgraph n= 3 \nD 1 2\n", "line 1", "leading zeros"),
-            ("# pdgraph n=03\nD 1 2\n", "line 1", "leading zeros"),
-        ],
-    )
+    @pytest.mark.parametrize("body,where,what", NON_CANONICAL)
     def test_rejects_non_canonical_form(self, tmp_path, body, where, what):
         """The reader takes only what write_pdgraph emits; a reciprocal D
         pair, say, is an error rather than an undirected edge, and so is a
@@ -314,6 +321,121 @@ class TestPdgraphRoundTrip:
             read_pdgraph(path)
         with pytest.raises(ValueError, match="limit"):
             _classify(np.zeros((0, 2), dtype=np.int64), 2**31 + 1)
+
+
+def read_error(path) -> str:
+    with pytest.raises(ParseError) as exc:
+        read_pdgraph(path)
+    return str(exc.value)
+
+
+# 3 bytes is shorter than any line, so every slice is one line; 20 bytes
+# cuts a block of 6-byte lines after its third
+SLICE_BUDGETS = [3, 20]
+
+# bodies whose first error lies past the first 20-byte slice, or needs
+# the lines of several slices: (body, the message's line and text)
+LATE_ERRORS = [
+    ("D 1 2\nD 1 3\nD 2 3\nD 3 1\nD 3 2\nX 1 2\n", "line 7: expected 'D u v'"),
+    ("D 1 2\nD 1 3\nD 2 3\nD 3 1\nD 3 2\nD 3 x", "line 7: expected 'D u v'"),
+    ("D 1 2\nD 1 3\nU 1 2\nD 2 3\n", "line 4: U line before a D line"),
+    ("D 1 2\nD 1 3\nD 2 3\nU 1 2\nU 1 3\nD 3 1\n", "line 5: U line before a D line"),
+    ("D 1 2\nD 1 9\nU 1 2\nD 2 3\n", "line 4: U line before a D line"),
+    ("D 1 2\nD 1 9\nD 2 3\nD 3 1\nD 3 2\nD 9 9\n", "line 3: vertex id outside 1..3"),
+    ("D 1 2\nU 2 1\nD 1 3\nD 2 3\nD 3 1\nD x 2\n", "line 7: expected 'D u v'"),
+    ("D 1 2\nD 1 3\nD 2 1\nD 2 3\n", "line 4: reciprocal directed pair"),
+    ("D 1 2\nD 1 3\nD 3 2\nU 2 3\n", "line 4: directed edge parallel"),
+]
+
+
+class TestPdgraphSlices:
+    """The reader tokenises its body in newline-aligned slices of
+    ingest._SLICE bytes; no budget may change what it returns or which
+    line an error names."""
+
+    @pytest.mark.parametrize("budget", SLICE_BUDGETS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip_is_budget_free(self, tmp_path, monkeypatch, budget, seed):
+        g = random_simple_graph(np.random.default_rng(seed), max_n=40, max_edges=80)
+        path = tmp_path / "g.pdgraph"
+        write_pdgraph(g, path)
+        monkeypatch.setattr(ingest, "_SLICE", budget)
+        h = read_pdgraph(path)
+        assert h.n == g.n
+        for name in ("dir_tails", "dir_heads", "und_u", "und_v"):
+            got, want = getattr(h, name), getattr(g, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", SLICE_BUDGETS)
+    def test_body_without_final_newline(self, tmp_path, monkeypatch, budget):
+        path = tmp_path / "g.pdgraph"
+        path.write_text("# pdgraph n=4\nD 1 2\nD 1 3\nD 2 3\nD 4 1\nU 2 4\nU 3 4")
+        monkeypatch.setattr(ingest, "_SLICE", budget)
+        g = read_pdgraph(path)
+        assert directed_pairs(g).tolist() == [[0, 1], [0, 2], [1, 2], [3, 0]]
+        assert undirected_pairs(g).tolist() == [[1, 3], [2, 3]]
+
+    def test_pipe_is_read_to_its_end(self, tmp_path):
+        """The body buffer is sized from the file, but a FIFO reports size
+        0; the reader then reads on to the end of the stream."""
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text,
+                                  args=("# pdgraph n=3\nD 1 2\nD 3 1\nU 2 3\n",))
+        writer.start()
+        g = read_pdgraph(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert directed_pairs(g).tolist() == [[0, 1], [2, 0]]
+        assert undirected_pairs(g).tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize("budget", SLICE_BUDGETS)
+    @pytest.mark.parametrize("body", [b for b, _, _ in NON_CANONICAL]
+                             + ["# pdgraph n=3\nD 1 2\nD 1 x\n"])
+    def test_errors_are_budget_free(self, tmp_path, monkeypatch, budget, body):
+        """Every case of test_rejects_non_canonical_form and the pdgraph
+        case of test_malformed_input_names_file_and_line."""
+        path = tmp_path / "bad.pdgraph"
+        path.write_text(("" if body.startswith("# pdgraph") else "# pdgraph n=3\n") + body)
+        want = read_error(path)
+        monkeypatch.setattr(ingest, "_SLICE", budget)
+        assert read_error(path) == want
+
+    @pytest.mark.parametrize("budget", [*SLICE_BUDGETS, 1 << 20])
+    @pytest.mark.parametrize("body,error", LATE_ERRORS)
+    def test_error_past_the_first_slice(self, tmp_path, monkeypatch, budget, body, error):
+        """A grammar error anywhere outranks a U line before a D line,
+        which outranks an id outside 1..n, as in one unsliced pass."""
+        path = tmp_path / "bad.pdgraph"
+        path.write_text("# pdgraph n=3\n" + body)
+        monkeypatch.setattr(ingest, "_SLICE", budget)
+        assert error in read_error(path)
+
+
+def test_read_pdgraph_memory_is_bounded(tmp_path):
+    """The reader holds at most the body, the pair codes and one slice, or
+    the codes and the layout checks' arrays, or the codes and the graph.
+
+    Bound, from the array sizes, with B body bytes, L lines and A arcs:
+      8 L      the int64 pair codes, held throughout;
+      B + 1    the body while it is tokenised;
+      27 A     the layout checks: three int64 arrays per arc (the
+               unordered-pair codes, their searchsorted positions and the
+               gathered matches) and three bool masks;
+      8 L      the returned graph's four uint32 id arrays;
+      8 _SLICE one slice, its tag-free copy and its ids (16 bytes per line
+               of at least 6 bytes, doubled while fromstring grows them).
+    The old reader held the body, its tag-free copy, the (L, 2) int64 ids
+    and four int64 divmod arrays at once, over 70 bytes per line here."""
+    g = poisson_graph(100_000)
+    path = tmp_path / "g.pdgraph"
+    write_pdgraph(g, path)
+    body = path.stat().st_size - len("# pdgraph n=100000\n")
+    lines, arcs = g.num_directed + g.num_undirected, g.num_directed
+    bound = 8 * lines + max(body + 1, 27 * arcs, 8 * lines) + 8 * (1 << 20)
+    h, peak = traced_peak(read_pdgraph, path)
+    assert np.array_equal(h.dir_heads, g.dir_heads)
+    assert peak <= bound, f"{peak / lines:.1f} bytes per line"
 
 
 def test_degree_file_loader_accepts_pdgraph(tmp_path):

@@ -390,6 +390,31 @@ _ROWS = {width: re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+(?:[ \t]++[0-9]{1,18}+){%
          for width in (2, 3)}
 
 
+# bytes read at once by slices(): the readers' working memory on top of
+# the arrays they return
+_SLICE = 1 << 20
+
+
+def slices(fh):
+    """The rest of a binary stream (a file, a FIFO, a gzip stream) in
+    slices of about _SLICE bytes, each completed to the end of its last
+    line; a last line without a line end gets one."""
+    while chunk := fh.read(_SLICE):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def append_to(buf: np.ndarray, used: int, values: np.ndarray) -> int:
+    """Write values at buf[used:], doubling buf in place when it is full,
+    and return the new fill."""
+    end = used + values.size
+    if end > buf.size:
+        buf.resize(max(end, 2 * buf.size), refcheck=False)
+    buf[used:end] = values
+    return end
+
+
 def line_at(body: bytes, start: int, first: int = 1) -> tuple[int, str]:
     """Number and text of the line that begins at byte offset start of a
     newline-terminated body whose first line is number first."""
@@ -397,21 +422,24 @@ def line_at(body: bytes, start: int, first: int = 1) -> tuple[int, str]:
             body[start:body.index(b"\n", start)].decode("utf-8", "replace"))
 
 
-def read_int_rows(body: bytes, width: int) -> np.ndarray:
-    """The (m, width) int64 rows of a body that _ROWS[width] takes whole,
-    else ParseError naming the first line it does not take."""
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    end = _ROWS[width].match(body).end()
-    if end < len(body):
-        lineno, line = line_at(body, end)
-        raise ParseError(f"line {lineno}: expected {('two', 'three')[width - 2]} "
-                         f"integers, non-negative and below 10^18, got {line!r}")
-    if b"#" in body:
-        body = re.sub(rb"#[^\n]*+", b"", body)
-    if not re.search(rb"[0-9]", body):  # fromstring reads b"\n" as [0]
-        return np.zeros((0, width), dtype=np.int64)
-    return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
+def read_int_rows(fh, width: int) -> np.ndarray:
+    """The (m, width) int64 rows of a binary stream whose every slice
+    _ROWS[width] takes whole, else ParseError naming the first line it
+    does not take."""
+    ids, used, lines = np.empty(0, dtype=np.int64), 0, 0
+    for chunk in slices(fh):
+        end = _ROWS[width].match(chunk).end()
+        if end < len(chunk):
+            lineno, line = line_at(chunk, end, first=lines + 1)
+            raise ParseError(f"line {lineno}: expected {('two', 'three')[width - 2]} "
+                             f"integers, non-negative and below 10^18, got {line!r}")
+        lines += chunk.count(b"\n")
+        if b"#" in chunk:
+            chunk = re.sub(rb"#[^\n]*+", b"", chunk)
+        if re.search(rb"[0-9]", chunk):  # fromstring reads b"\n" as [0]
+            used = append_to(ids, used, np.fromstring(chunk, dtype=np.int64, sep=" "))
+    ids.resize(used, refcheck=False)
+    return ids.reshape(-1, width)
 
 
 def load_degree_file(path) -> np.ndarray:
@@ -429,11 +457,10 @@ def load_degree_file(path) -> np.ndarray:
 
             return read_pdgraph(path).degree_triples().copy()
         fh.seek(0)
-        body = fh.read()
-    try:
-        rows = read_int_rows(body, 3)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        try:
+            rows = read_int_rows(fh, 3)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if not rows.size:
         raise ValueError(f"{path}: no degree triples found")
     return rows

@@ -13,7 +13,9 @@ order: serial and parallel runs write byte-identical CSVs.
 
 Output rows follow metrics.CSV_COLUMNS.  Runs are resumable -- cells
 whose (n, seed) key already appears in the output file are skipped and
-their rows kept verbatim; the file is rewritten sorted by (n, seed).
+their rows kept verbatim; the file is rewritten sorted by (n, seed).  A
+file holding a row of another model or coupling is refused, since its
+cells are not this run's.
 """
 from __future__ import annotations
 
@@ -207,8 +209,9 @@ def _format_row(row: dict) -> list:
     return out
 
 
-def _read_completed(path) -> dict:
-    """(n, seed) -> raw string row, for every row already in the file."""
+def _read_completed(path, label: str, coupling: str) -> dict:
+    """(n, seed) -> raw string row, for every row already in the file;
+    a row of another model or coupling than (label, coupling) is refused."""
     completed = {}
     if not os.path.exists(path):
         return completed
@@ -230,6 +233,9 @@ def _read_completed(path) -> dict:
         try:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"malformed row {row!r}")
+            if row[:2] != [label, coupling]:
+                raise ValueError(f"existing row is for {row[0]} {row[1]}, not "
+                                 f"{label} {coupling}; refusing to resume into it")
             completed[(int(row[2]), int(row[3]))] = row
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -244,7 +250,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
     """
     dist = config.distribution()
     label = config.model_label()
-    completed = _read_completed(config.output)
+    completed = _read_completed(config.output, label, config.coupling)
     grid = list(config.grid())
     pending = [cell for cell in grid if cell not in completed]
 

@@ -11,18 +11,22 @@ tests can compare bytes: a header line "# pdgraph n=<n>", a sorted block
 of "D u v" directed lines, then a sorted block of "U u v" undirected lines
 with u < v.  File ids are 1-based; in memory vertices are 0..n-1.  The
 reader accepts exactly this canonical form and nothing else.
+
+Neither reader holds its text whole: both parse the newline-aligned
+slices of degrees.slices, about 1 MiB each (of a gzipped edge list, as it
+is decompressed), straight into one growing id or pair-code array.
 """
 from __future__ import annotations
 
 import gzip
 import json
-import os
 import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .degrees import ParseError, check_vertex_count, line_at, read_int_rows
+from .degrees import (ParseError, append_to, check_vertex_count, line_at,
+                      read_int_rows, slices)
 from .metrics import proportion_directed
 from .simplify import (
     SimpleGraph,
@@ -64,7 +68,7 @@ class IngestStats:
 def parse_edge_list(stream) -> RawArcList:
     """Read the integer pairs of a binary stream, one "u v" line per arc,
     in degrees.read_int_rows' grammar ('#' comments, blank lines)."""
-    return RawArcList(arcs=read_int_rows(stream.read(), 2))
+    return RawArcList(arcs=read_int_rows(stream, 2))
 
 
 def _densify(arcs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -127,9 +131,6 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 # ---------------------------------------------------------------------------
 
 _WRITE_ROWS = 1 << 12
-# bytes of pdgraph body tokenised at once: the reader's working memory on
-# top of the body and the pair codes
-_SLICE = 1 << 20
 # the longest run of canonical lines ("D a b" or "U a b", ids decimal
 # without leading zeros) from the start; possessive, so a bad line stops it
 # without any backtracking
@@ -167,35 +168,6 @@ def _tokenize(body: bytes):
     return body.count(b"D"), ids.reshape(-1, 2)
 
 
-def _read_body(fh, size: int) -> bytearray:
-    """The rest of fh, newline-terminated, read into one buffer of the
-    given size plus one byte; a longer stream (a pipe, say) is read on to
-    its end."""
-    body = bytearray(max(size, 0) + 1)
-    with memoryview(body) as view:
-        got = fh.readinto(view)
-    if got < len(body):
-        del body[got:]
-    else:
-        body += fh.read()
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    return body
-
-
-def _slices(body: bytearray):
-    """The newline-aligned slices of a newline-terminated body, as bytes,
-    each at most _SLICE long unless one line is longer."""
-    start = 0
-    with memoryview(body) as view:
-        while start < len(body):
-            stop = body.rfind(b"\n", start, start + _SLICE) + 1
-            if stop <= start:
-                stop = body.index(b"\n", start) + 1
-            yield bytes(view[start:stop])
-            start = stop
-
-
 def read_pdgraph(path) -> SimpleGraph:
     """Read a pdgraph file back; exact inverse of write_pdgraph.
 
@@ -208,14 +180,12 @@ def read_pdgraph(path) -> SimpleGraph:
     no reciprocal arc pair and no arc parallel to an undirected edge.  Any
     other file raises ParseError naming the offending line.
 
-    The body is read once into a buffer sized from the file and
-    tokenised in newline-aligned slices of _SLICE bytes, each encoded
-    straight into one pair-code array; the body is dropped before the
-    layout checks.
+    The body is read and tokenised in the newline-aligned slices of
+    degrees.slices, each encoded straight into one pair-code array that
+    grows in place; the layout checks run on that array alone.
     """
     with open(path, "rb") as fh:
-        raw = fh.readline()
-        header = raw.decode("utf-8", "replace").rstrip("\n")
+        header = fh.readline().decode("utf-8", "replace").rstrip("\n")
         if not header.startswith("# pdgraph n="):
             raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
         count = header[len("# pdgraph n="):]
@@ -226,27 +196,25 @@ def read_pdgraph(path) -> SimpleGraph:
             check_vertex_count(n)
         except ValueError as exc:
             raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
-        body = _read_body(fh, os.fstat(fh.fileno()).st_size - len(raw))
-    codes = np.empty(body.count(b"\n"), dtype=np.int64)
-    row = n_dir = 0
-    first_u = outside = None  # rows of the first U line and first bad id
-    for chunk in _slices(body):
-        tokens = _tokenize(chunk)
-        if tokens is None:
-            lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
-            raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
-                             f"got {line!r}")
-        d, ids = tokens
-        if first_u is None and d < ids.shape[0]:
-            first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
-        bad = (ids > n).any(axis=1)
-        if outside is None and bad.any():
-            outside = row + int(bad.argmax())
-        ids -= 1
-        codes[row:row + ids.shape[0]] = encode(ids[:, 0], ids[:, 1], n)
-        row += ids.shape[0]
-        n_dir += d
-    del body
+        codes = np.empty(0, dtype=np.int64)
+        row = n_dir = 0
+        first_u = outside = None  # rows of the first U line and first bad id
+        for chunk in slices(fh):
+            tokens = _tokenize(chunk)
+            if tokens is None:
+                lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
+                raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
+                                 f"got {line!r}")
+            d, ids = tokens
+            if first_u is None and d < ids.shape[0]:
+                first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
+            bad = (ids > n).any(axis=1)
+            if outside is None and bad.any():
+                outside = row + int(bad.argmax())
+            ids -= 1
+            row = append_to(codes, row, encode(ids[:, 0], ids[:, 1], n))
+            n_dir += d
+    codes.resize(row, refcheck=False)
     # the D lines lead exactly when the first U line follows all n_dir of them
     if first_u is not None and first_u < n_dir:
         raise ParseError(f"{path}: line {first_u + 2}: U line before a D line")

@@ -67,22 +67,15 @@ class MultiGraph:
 
 def _stub_owners(seq: DegreeSequence):
     """Owner ids of every (in, out, und) stub, plus the directed list that
-    is shuffled -- the longer one, the in-stubs on a tie -- cached on the
-    sequence.
+    is shuffled -- the longer one, the in-stubs on a tie.
 
-    The repeat-expansion is the same for every matching of one sequence,
-    so it is built once.  The cached arrays are never aliased by results:
-    _match tiles them before shuffling and offsets the shorter list into
-    a new array.
+    Built per matching and stored nowhere: the sequence lives as long as
+    every graph matched from it (``source_degrees``).
     """
-    cached = getattr(seq, "_stub_owner_arrays", None)
-    if cached is None:
-        ids = np.arange(seq.n, dtype=VERTEX_DTYPE)
-        in_stubs, out_stubs = np.repeat(ids, seq.in_deg), np.repeat(ids, seq.out_deg)
-        longer = in_stubs if in_stubs.size >= out_stubs.size else out_stubs
-        cached = (in_stubs, out_stubs, np.repeat(ids, seq.und_deg), longer)
-        object.__setattr__(seq, "_stub_owner_arrays", cached)
-    return cached
+    ids = np.arange(seq.n, dtype=VERTEX_DTYPE)
+    in_stubs, out_stubs = np.repeat(ids, seq.in_deg), np.repeat(ids, seq.out_deg)
+    longer = in_stubs if in_stubs.size >= out_stubs.size else out_stubs
+    return in_stubs, out_stubs, np.repeat(ids, seq.und_deg), longer
 
 
 def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:

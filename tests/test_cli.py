@@ -189,6 +189,27 @@ class TestExperiment:
         assert rc == 0
         assert "[1/2] n=20" in stdout and "[2/2] n=20" in stdout
 
+    @pytest.mark.parametrize("other", [
+        ("--model", "scale_free", "--gamma", "2.5", "--coupling", "dependent"),
+        ("--model", "poisson", "--lambda", "6"),
+        ("--model", "poisson", "--coupling", "dependent"),
+    ], ids=["model", "parameter", "coupling"])
+    def test_resume_into_another_models_rows_is_runtime_error(self, tmp_path,
+                                                             capsys, other):
+        """Resume keys cells on (n, seed), which two models share, so rows
+        of another model or coupling are refused, not kept as this run's."""
+        out = tmp_path / "m.csv"
+        grid = ("--sizes", "30,60", "--replicates", "2", "--seed", "4",
+                "--output", str(out), "--quiet")
+        rc, _, _ = run(capsys, "experiment", "--model", "poisson", "--lambda", "5",
+                       *grid)
+        assert rc == 0
+        before = out.read_bytes()
+        rc, stdout, err = run(capsys, "experiment", *other, *grid)
+        assert rc == 1 and "cells computed" not in stdout
+        assert f"{out}: line 2: existing row is for poisson(5) independent" in err
+        assert out.read_bytes() == before
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "experiment", "--model", "poisson",
                          "--sizes", "20", "--replicates", "1", "--seed", "1",

@@ -281,7 +281,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("rows,lineno", [
         ([("a", "b", "c")], 1),
         ([CSV_COLUMNS, ("poisson(5)", "independent", "30")], 2),
-        ([CSV_COLUMNS] + [("m", "c", n, "1") + ("0",) * (len(CSV_COLUMNS) - 4)
+        ([CSV_COLUMNS] + [("poisson(5)", "independent", n, "1")
+                          + ("0",) * (len(CSV_COLUMNS) - 4)
                           for n in ("30", "x")], 3),
         ([CSV_COLUMNS] + [(m, "c", "30", s) + ("0",) * (len(CSV_COLUMNS) - 4)
                           for m, s in (("m", "1"), ("m\xff", "2"))], 3),

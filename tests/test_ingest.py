@@ -21,7 +21,7 @@ from _oracles import (
     traced_peak,
     undirected_pairs,
 )
-from pdcm import ingest
+from pdcm import degrees
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
     IngestStats,
@@ -350,7 +350,7 @@ LATE_ERRORS = [
 
 class TestPdgraphSlices:
     """The reader tokenises its body in newline-aligned slices of
-    ingest._SLICE bytes; no budget may change what it returns or which
+    degrees._SLICE bytes; no budget may change what it returns or which
     line an error names."""
 
     @pytest.mark.parametrize("budget", SLICE_BUDGETS)
@@ -359,7 +359,7 @@ class TestPdgraphSlices:
         g = random_simple_graph(np.random.default_rng(seed), max_n=40, max_edges=80)
         path = tmp_path / "g.pdgraph"
         write_pdgraph(g, path)
-        monkeypatch.setattr(ingest, "_SLICE", budget)
+        monkeypatch.setattr(degrees, "_SLICE", budget)
         h = read_pdgraph(path)
         assert h.n == g.n
         for name in ("dir_tails", "dir_heads", "und_u", "und_v"):
@@ -370,14 +370,16 @@ class TestPdgraphSlices:
     def test_body_without_final_newline(self, tmp_path, monkeypatch, budget):
         path = tmp_path / "g.pdgraph"
         path.write_text("# pdgraph n=4\nD 1 2\nD 1 3\nD 2 3\nD 4 1\nU 2 4\nU 3 4")
-        monkeypatch.setattr(ingest, "_SLICE", budget)
+        monkeypatch.setattr(degrees, "_SLICE", budget)
+        with open(path, "rb") as fh:
+            assert len(list(degrees.slices(fh))) > 1
         g = read_pdgraph(path)
         assert directed_pairs(g).tolist() == [[0, 1], [0, 2], [1, 2], [3, 0]]
         assert undirected_pairs(g).tolist() == [[1, 3], [2, 3]]
 
     def test_pipe_is_read_to_its_end(self, tmp_path):
-        """The body buffer is sized from the file, but a FIFO reports size
-        0; the reader then reads on to the end of the stream."""
+        """A FIFO reports size 0 and cannot seek; the reader reads on to
+        the end of the stream."""
         fifo = tmp_path / "g.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_text,
@@ -398,7 +400,7 @@ class TestPdgraphSlices:
         path = tmp_path / "bad.pdgraph"
         path.write_text(("" if body.startswith("# pdgraph") else "# pdgraph n=3\n") + body)
         want = read_error(path)
-        monkeypatch.setattr(ingest, "_SLICE", budget)
+        monkeypatch.setattr(degrees, "_SLICE", budget)
         assert read_error(path) == want
 
     @pytest.mark.parametrize("budget", [*SLICE_BUDGETS, 1 << 20])
@@ -408,8 +410,96 @@ class TestPdgraphSlices:
         which outranks an id outside 1..n, as in one unsliced pass."""
         path = tmp_path / "bad.pdgraph"
         path.write_text("# pdgraph n=3\n" + body)
-        monkeypatch.setattr(ingest, "_SLICE", budget)
+        monkeypatch.setattr(degrees, "_SLICE", budget)
         assert error in read_error(path)
+
+
+# row bodies through read_int_rows: (name, body, width)
+ROW_BODIES = [
+    ("comments", b"# a header\n# of two lines\n1 2\n3 4 # trailing\n#\n5 6\n7 8\n", 2),
+    ("crlf", b"1 2\r\n3 4\r\n\r\n5 6 # x\r\n7 8\r\n", 2),
+    ("blank-lines", b"\n\n1 2\n\n \t\n3 4\n\n5 6\n\n7 8\n\n", 2),
+    ("no-final-newline", b"1 2\n3 4\n5 6\n7 8\n10 20\n30 40", 2),
+    ("triples", b"# in out und\n1 2 3\n4 5 6\n\n7 8 9\n", 3),
+    ("late-error", b"1 2\n3 4\n5 6\n# fine\n7 8\n9 x\n1 2\n", 2),
+    ("late-error-crlf", b"1 2\r\n3 4\r\n5 6\r\n7 8\r\n9 9 9\r\n", 2),
+]
+
+
+def stream_of(body: bytes, gzipped: bool):
+    return (gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(body))) if gzipped
+            else io.BytesIO(body))
+
+
+def rows_or_error(body: bytes, width: int, gzipped: bool):
+    """read_int_rows' rows as lists, or its error message."""
+    try:
+        return degrees.read_int_rows(stream_of(body, gzipped), width).tolist()
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestIntRowSlices:
+    """read_int_rows parses a stream in the slices of degrees.slices;
+    no budget may change its rows or the line an error names."""
+
+    @pytest.mark.parametrize("budget", SLICE_BUDGETS)
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("name,body,width", ROW_BODIES, ids=[r[0] for r in ROW_BODIES])
+    def test_rows_are_budget_free(self, monkeypatch, budget, gzipped, name, body, width):
+        monkeypatch.setattr(degrees, "_SLICE", 1 << 20)
+        want = rows_or_error(body, width, gzipped)
+        monkeypatch.setattr(degrees, "_SLICE", budget)
+        assert len(list(degrees.slices(io.BytesIO(body)))) > 1
+        assert rows_or_error(body, width, gzipped) == want
+
+    def test_expected_rows_and_errors(self):
+        """The reference results the budgets are compared against."""
+        results = {name: rows_or_error(body, width, False)
+                   for name, body, width in ROW_BODIES}
+        assert results["comments"] == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        assert results["crlf"] == results["comments"]
+        assert results["blank-lines"] == results["comments"]
+        assert results["no-final-newline"] == [[1, 2], [3, 4], [5, 6], [7, 8],
+                                               [10, 20], [30, 40]]
+        assert results["triples"] == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert results["late-error"] == (
+            "line 6: expected two integers, non-negative and below 10^18, got '9 x'")
+        assert results["late-error-crlf"] == (
+            "line 5: expected two integers, non-negative and below 10^18, "
+            "got '9 9 9\\r'")
+
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    def test_slices_cover_the_stream(self, monkeypatch, gzipped):
+        """Slices end at line ends, join back to the stream, and only a
+        last line without one gets a line end."""
+        monkeypatch.setattr(degrees, "_SLICE", 5)
+        chunks = list(degrees.slices(stream_of(b"12 34\n5 6\r\n\n789 1011\n1 2", gzipped)))
+        assert chunks == [b"12 34\n", b"5 6\r\n", b"\n789 1011\n", b"1 2\n"]
+        assert list(degrees.slices(io.BytesIO(b""))) == []
+
+
+def test_parse_edge_list_memory_is_bounded():
+    """parse_edge_list holds the ids and one slice's work, never the
+    text: on a gzipped list whose comments make up most of its bytes.
+
+    Bound, from the array sizes, with A arcs and S = degrees._SLICE:
+      32 A   the (A, 2) int64 ids, at most doubled while their array
+             grows in place;
+      10 S   one slice of S bytes plus the rest of its last line, its
+             comment-free copy, and its ids (8 bytes per id and at least
+             2 bytes per id of text, doubled while fromstring grows them).
+    The old reader held the decompressed text (55 bytes per arc here),
+    its comment-free copy and the ids at once."""
+    rng = np.random.default_rng(5)
+    ids = rng.integers(1, 10**7, size=(300_000, 2))
+    text = "".join(f"{u} {v} # crawled from the front page, rank {u % 97}\n"
+                   for u, v in ids.tolist())
+    stream = io.BytesIO(gzip.compress(("# Directed graph\n" + text).encode(), 1))
+    raw, peak = traced_peak(parse_edge_list, gzip.GzipFile(fileobj=stream))
+    assert np.array_equal(raw.arcs, ids)
+    bound = 32 * ids.shape[0] + 10 * degrees._SLICE
+    assert peak <= bound, f"{peak / ids.shape[0]:.1f} bytes per arc"
 
 
 def test_read_pdgraph_memory_is_bounded(tmp_path):

@@ -96,6 +96,15 @@ def test_deterministic_given_seed():
     assert diff
 
 
+def test_matching_leaves_no_state_on_the_sequence():
+    """The stub arrays are built per matching, not cached on the frozen
+    sequence, where they would live as long as its graph."""
+    seq = seq_of([(2, 1, 3), (0, 2, 1), (1, 0, 2), (1, 1, 0)])
+    match_stubs(seq, seed=1)
+    match_stubs_union(seq, [2, 3])
+    assert set(vars(seq)) == {"triples"}
+
+
 def test_vertex_ids_are_32_bit():
     mg = match_stubs(seq_of([(1, 1, 1), (1, 1, 1)]), seed=3)
     assert mg.arc_tails.dtype == np.uint32

@@ -18,7 +18,7 @@ import sys
 
 from .components import strongly_connected_components, write_component_csv
 from .degrees import COUPLINGS, MODELS, sample_sequence
-from .experiment import config_from_mapping, parse_config_file, run_experiment
+from .experiment import CONFIG_KEYS, config_from_mapping, parse_config_file, run_experiment
 from .ingest import ingest_path, read_pdgraph, write_pdgraph
 from .matching import match_stubs
 from .rng import derive_seed
@@ -33,7 +33,7 @@ from .simplify import simplify
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=MODELS,
                    help="degree model")
-    p.add_argument("--lambda", dest="lambda_", type=float, metavar="MEAN",
+    p.add_argument("--lambda", dest="lambda", type=float, metavar="MEAN",
                    help="poisson mean")
     p.add_argument("--gamma", type=float, help="scale-free exponent (> 2)")
     p.add_argument("--degrees", metavar="FILE",
@@ -42,23 +42,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="how in/out/undirected degrees are drawn together")
 
 
-def _model_mapping(args) -> dict:
-    """Flag values as config-file-style strings, flags that were set only."""
-    mapping = {}
-    for key, attr in (("model", "model"), ("lambda", "lambda_"),
-                      ("gamma", "gamma"), ("degrees", "degrees"),
-                      ("coupling", "coupling")):
-        value = getattr(args, attr)
-        if value is not None:
-            mapping[key] = str(value)
-    return mapping
+def _settings(args) -> dict:
+    """The CONFIG_KEYS flags that were set, as config-file-style strings."""
+    return {key: str(value) for key in CONFIG_KEYS
+            if (value := getattr(args, key, None)) is not None}
 
 
 def cmd_generate(args) -> int:
-    mapping = _model_mapping(args)
-    mapping.setdefault("model", "poisson")
-    config = config_from_mapping(mapping | {"sizes": str(args.n), "seed": str(args.seed)})
-    dist = config.distribution()
+    dist = config_from_mapping(_settings(args)).distribution()
     seq = sample_sequence(dist, args.n, derive_seed(args.seed, 0))
     g, report = simplify(match_stubs(seq, derive_seed(args.seed, 1)))
     write_pdgraph(g, args.output)
@@ -79,12 +70,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_experiment(args) -> int:
     mapping = parse_config_file(args.config) if args.config else {}
-    mapping.update(_model_mapping(args))
-    for key in ("sizes", "replicates", "seed", "output", "jobs"):
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = str(value)
-    config = config_from_mapping(mapping)
+    config = config_from_mapping(mapping | _settings(args))
     ran, skipped = run_experiment(
         config, log=None if args.quiet else lambda line: print(line, flush=True)
     )

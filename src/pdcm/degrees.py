@@ -113,10 +113,10 @@ def _scale_free_bulk(gamma: float, u: np.ndarray) -> np.ndarray:
     s = gamma - 1.0
     guess = np.ceil(d * ((1.0 - u) ** (-1.0 / s) - 1.0)).astype(np.int64)
     np.maximum(guess, 1, out=guess)
-    f = 1.0 - (d / (guess + d)) ** s
+    f = 1.0 - scale_free_sf(gamma, guess)
     guess = guess + (f < u)
     prev = guess - 1
-    f_prev = np.where(prev >= 1, 1.0 - (d / (np.maximum(prev, 1) + d)) ** s, 0.0)
+    f_prev = np.where(prev >= 1, 1.0 - scale_free_sf(gamma, np.maximum(prev, 1)), 0.0)
     guess = guess - ((prev >= 1) & (f_prev >= u))
     return guess
 
@@ -377,7 +377,8 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ParseError(ValueError):
-    """Malformed text input; the message reads "<path>: line N: <what>"."""
+    """Malformed input; the message reads "<path>: line N: <what>", or
+    "<path>: <what>" for a broken compressed stream."""
 
 
 # the longest run of well-formed lines from the start of a body of rows of
@@ -395,11 +396,13 @@ _ROWS = {width: re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+(?:[ \t]++[0-9]{1,18}+){%
 _SLICE = 1 << 20
 
 
-def slices(fh):
-    """The rest of a binary stream (a file, a FIFO, a gzip stream) in
-    slices of about _SLICE bytes, each completed to the end of its last
-    line; a last line without a line end gets one."""
-    while chunk := fh.read(_SLICE):
+def slices(fh, head: bytes = b""):
+    """head, bytes already read from a binary stream (a file, a FIFO, a
+    gzip stream), then the rest of it, in slices of about _SLICE bytes,
+    each completed to the end of its last line; a last line without a
+    line end gets one."""
+    while chunk := head + fh.read(_SLICE):
+        head = b""
         if not chunk.endswith(b"\n"):
             chunk += fh.readline()
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
@@ -422,12 +425,12 @@ def line_at(body: bytes, start: int, first: int = 1) -> tuple[int, str]:
             body[start:body.index(b"\n", start)].decode("utf-8", "replace"))
 
 
-def read_int_rows(fh, width: int) -> np.ndarray:
-    """The (m, width) int64 rows of a binary stream whose every slice
-    _ROWS[width] takes whole, else ParseError naming the first line it
-    does not take."""
+def read_int_rows(fh, width: int, head: bytes = b"") -> np.ndarray:
+    """The (m, width) int64 rows of head and then the rest of a binary
+    stream, whose every slice _ROWS[width] takes whole, else ParseError
+    naming the first line it does not take."""
     ids, used, lines = np.empty(0, dtype=np.int64), 0, 0
-    for chunk in slices(fh):
+    for chunk in slices(fh, head):
         end = _ROWS[width].match(chunk).end()
         if end < len(chunk):
             lineno, line = line_at(chunk, end, first=lines + 1)
@@ -449,16 +452,17 @@ def load_degree_file(path) -> np.ndarray:
     specs alike: one "in out und" line per vertex in read_int_rows'
     grammar, errors as "<path>: line N: <what>".  Files in the pdgraph
     edge format (header "# pdgraph n=...") are also accepted; the graph
-    is read and its degree triples returned.
+    is read and its degree triples returned.  The first line is read once
+    and the same stream read on, so the file may be a pipe.
     """
     with open(path, "rb") as fh:
-        if fh.read(12) == b"# pdgraph n=":
-            from .ingest import read_pdgraph
+        head = fh.readline()
+        if head.startswith(b"# pdgraph n="):
+            from .ingest import pdgraph_from
 
-            return read_pdgraph(path).degree_triples().copy()
-        fh.seek(0)
+            return pdgraph_from(fh, head, path).degree_triples().copy()
         try:
-            rows = read_int_rows(fh, 3)
+            rows = read_int_rows(fh, 3, head)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not rows.size:

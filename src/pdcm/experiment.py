@@ -24,7 +24,7 @@ import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .degrees import (
     COUPLINGS,
@@ -71,23 +71,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.coupling not in COUPLINGS:
-            raise ValueError(
-                f"unknown coupling {self.coupling!r}; expected one of {COUPLINGS}"
-            )
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("sizes must be a non-empty list of positive integers")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("sizes must be strictly increasing")
-        check_vertex_count(sizes[-1])
-        object.__setattr__(self, "sizes", sizes)
-        if self.replicates < 1:
-            raise ValueError("need replicates >= 1")
-        if self.jobs < 1:
-            raise ValueError("need jobs >= 1")
+        for field in fields(self):
+            key = "lambda" if field.name == "lam" else field.name
+            object.__setattr__(self, field.name, _checked(key, getattr(self, field.name)))
         if self.model == "empirical" and not self.degrees:
             raise ValueError("model=empirical needs a degree file (degrees=...)")
 
@@ -118,22 +104,41 @@ class ExperimentConfig:
                 yield n, self.cell_seed(s, r)
 
 
+def _checked(key: str, value):
+    """The value of setting key, range-checked: the one check of each
+    setting, for config fields, file lines and flags alike."""
+    if key == "model" and value not in MODELS:
+        raise ValueError(f"unknown model {value!r}; expected one of {MODELS}")
+    if key == "coupling" and value not in COUPLINGS:
+        raise ValueError(f"unknown coupling {value!r}; expected one of {COUPLINGS}")
+    if key == "lambda":
+        return check_lambda(value)
+    if key == "gamma":
+        return check_gamma(value)
+    if key == "sizes":
+        sizes = tuple(int(n) for n in value)
+        if not sizes or any(n < 1 for n in sizes):
+            raise ValueError("sizes must be a non-empty list of positive integers")
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError("sizes must be strictly increasing")
+        check_vertex_count(sizes[-1])
+        return sizes
+    if key in ("replicates", "jobs") and value < 1:
+        raise ValueError(f"need {key} >= 1")
+    return value
+
+
 def _config_value(key: str, value: str):
     """One setting converted from its string form (file value or flag)."""
-    if key == "lambda":
-        return check_lambda(float(value))
-    if key == "gamma":
-        return check_gamma(float(value))
-    if key in ("replicates", "seed", "jobs"):
-        return int(value)
-    if key == "sizes":
-        parts = value.replace(",", " ").split()
-        if not parts:
-            raise ValueError("sizes must list at least one integer")
-        return tuple(int(p) for p in parts)
-    if key in ("model", "coupling", "degrees", "output"):
-        return value
-    raise ValueError(f"unknown config key {key!r}")
+    if key in ("lambda", "gamma"):
+        value = float(value)
+    elif key in ("replicates", "seed", "jobs"):
+        value = int(value)
+    elif key == "sizes":
+        value = [int(p) for p in value.replace(",", " ").split()]
+    elif key not in CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}; expected one of {CONFIG_KEYS}")
+    return _checked(key, value)
 
 
 def parse_config_file(path) -> dict:
@@ -149,11 +154,6 @@ def parse_config_file(path) -> dict:
             key, value = key.strip(), value.strip()
             if not eq or not key or not value:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            if key not in CONFIG_KEYS:
-                raise ValueError(
-                    f"{path}: line {lineno}: unknown key {key!r}; "
-                    f"expected one of {CONFIG_KEYS}"
-                )
             try:
                 _config_value(key, value)
             except ValueError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gzip
 import json
 import re
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -121,7 +122,7 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
     with opener(path, "rb") as fh:
         try:
             raw = parse_edge_list(fh)
-        except ParseError as exc:
+        except (ParseError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise ParseError(f"{path}: {exc}") from None
     return to_partially_directed(raw)
 
@@ -185,35 +186,41 @@ def read_pdgraph(path) -> SimpleGraph:
     grows in place; the layout checks run on that array alone.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", "replace").rstrip("\n")
-        if not header.startswith("# pdgraph n="):
-            raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
-        count = header[len("# pdgraph n="):]
-        try:
-            if not re.fullmatch(r"0|[1-9][0-9]*", count):
-                raise ValueError(f"expected a decimal without leading zeros, got {count!r}")
-            n = int(count)
-            check_vertex_count(n)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
-        codes = np.empty(0, dtype=np.int64)
-        row = n_dir = 0
-        first_u = outside = None  # rows of the first U line and first bad id
-        for chunk in slices(fh):
-            tokens = _tokenize(chunk)
-            if tokens is None:
-                lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
-                raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
-                                 f"got {line!r}")
-            d, ids = tokens
-            if first_u is None and d < ids.shape[0]:
-                first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
-            bad = (ids > n).any(axis=1)
-            if outside is None and bad.any():
-                outside = row + int(bad.argmax())
-            ids -= 1
-            row = append_to(codes, row, encode(ids[:, 0], ids[:, 1], n))
-            n_dir += d
+        return pdgraph_from(fh, fh.readline(), path)
+
+
+def pdgraph_from(fh, header: bytes, path) -> SimpleGraph:
+    """read_pdgraph on the rest of a binary stream whose first line,
+    already read from it, is header; path names the stream in errors."""
+    header = header.decode("utf-8", "replace").rstrip("\n")
+    if not header.startswith("# pdgraph n="):
+        raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
+    count = header[len("# pdgraph n="):]
+    try:
+        if not re.fullmatch(r"0|[1-9][0-9]*", count):
+            raise ValueError(f"expected a decimal without leading zeros, got {count!r}")
+        n = int(count)
+        check_vertex_count(n)
+    except ValueError as exc:
+        raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
+    codes = np.empty(0, dtype=np.int64)
+    row = n_dir = 0
+    first_u = outside = None  # rows of the first U line and first bad id
+    for chunk in slices(fh):
+        tokens = _tokenize(chunk)
+        if tokens is None:
+            lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
+            raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
+                             f"got {line!r}")
+        d, ids = tokens
+        if first_u is None and d < ids.shape[0]:
+            first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
+        bad = (ids > n).any(axis=1)
+        if outside is None and bad.any():
+            outside = row + int(bad.argmax())
+        ids -= 1
+        row = append_to(codes, row, encode(ids[:, 0], ids[:, 1], n))
+        n_dir += d
     codes.resize(row, refcheck=False)
     # the D lines lead exactly when the first U line follows all n_dir of them
     if first_u is not None and first_u < n_dir:

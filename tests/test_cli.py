@@ -1,11 +1,13 @@
 """Front-end behaviour: flags, exit codes, output files, determinism."""
 
+import gzip
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def child_env() -> dict:
+    """This environment with the imported pdcm's directory first on
+    PYTHONPATH, for a child interpreter."""
+    src = str(Path(pdcm.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestGenerate:
@@ -76,6 +86,14 @@ class TestGenerate:
                          "--report", str(tmp_path / "r"))
         assert rc == 1 and "limit" in err
         assert not (tmp_path / "g").exists()
+
+    def test_zero_vertices_names_n(self, tmp_path, capsys):
+        """--n is checked by degree sampling, not as an experiment's sizes."""
+        rc, _, err = run(capsys, "generate", "--n", "0", "--seed", "1",
+                         "--output", str(tmp_path / "g"),
+                         "--report", str(tmp_path / "r"))
+        assert rc == 1
+        assert err == "pdcm: error: need n >= 1 vertices\n"
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_stub_total_past_limit_is_runtime_error(self, tmp_path, capsys,
@@ -155,6 +173,28 @@ class TestIngest:
     def test_missing_input_is_runtime_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "ingest", "--input", str(tmp_path / "no.txt"))
         assert rc == 1 and "error" in err
+
+    @pytest.mark.parametrize("damage,what", [
+        ("truncated", "Compressed file ended before the end-of-stream marker"),
+        ("not-gzip", "Not a gzipped file"),
+        ("corrupt", "Error -3 while decompressing data: invalid block type"),
+    ])
+    def test_broken_gzip_names_the_file(self, capsys, tmp_path, damage, what):
+        """An interrupted download, a plain list named .gz and a damaged
+        deflate stream each exit 1 with the path, not a traceback."""
+        body = gzip.compress(b"".join(b"%d %d\n" % (i, i + 1) for i in range(300)),
+                             mtime=0)
+        if damage == "truncated":
+            body = body[:20]
+        elif damage == "not-gzip":
+            body = b"1 2\n2 3\n"
+        else:
+            body = body[:10] + b"\xff" + body[11:]  # reserved block type 3
+        path = tmp_path / "edges.txt.gz"
+        path.write_bytes(body)
+        rc, _, err = run(capsys, "ingest", "--input", str(path))
+        assert rc == 1
+        assert err.startswith(f"pdcm: error: {path}: {what}")
 
 
 class TestExperiment:
@@ -274,6 +314,30 @@ class TestOracle:
         spec.write_text("1 1\n")
         rc, _, err = run(capsys, "oracle", "--spec", str(spec))
         assert rc == 1 and "error" in err
+
+    @pytest.mark.parametrize("body", [
+        "1 1 0\n1 1 0\n1 1 0\n",
+        "# pdgraph n=3\nD 1 2\nD 3 1\nU 2 3\n",
+        "1 1 0\n1 x 0\n1 1 0\n",
+    ], ids=["triples", "pdgraph", "malformed"])
+    def test_spec_may_be_a_pipe(self, tmp_path, body):
+        """A spec given as a FIFO, as bash's <(...) gives it, which can
+        neither seek nor be opened twice, reads as the same spec in a
+        file does, errors included.  The oracle runs as a child under a
+        timeout, so a reader that opens the FIFO again fails, not hangs."""
+        def oracle(spec):
+            return subprocess.run([sys.executable, "-m", "pdcm.cli", "oracle",
+                                   "--spec", str(spec), "--replicates", "100"],
+                                  env=child_env(), capture_output=True, text=True,
+                                  timeout=30)
+
+        path, fifo = tmp_path / "spec.txt", tmp_path / "spec.fifo"
+        path.write_text(body)
+        os.mkfifo(fifo)
+        threading.Thread(target=fifo.write_text, args=(body,), daemon=True).start()
+        want, got = oracle(path), oracle(fifo)
+        assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+        assert got.stderr == want.stderr.replace(str(path), str(fifo))
 
 
 @pytest.mark.parametrize("command,flag,text,lineno", [
@@ -437,11 +501,8 @@ def test_only_components_loads_scipy_sparse(tmp_path):
                     "--replicates", "100", "--seed", "1"]),
         ("components", ["components", "--input", str(tmp_path / "g.pdgraph")]),
     ]
-    src = str(Path(pdcm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(commands)], cwd=tmp_path, env=env,
+                           json.dumps(commands)], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)

@@ -135,6 +135,17 @@ class TestConfigFile:
         ("gamma = nan", "gamma: gamma must be a finite number, not nan"),
         ("gamma = 1.5", "gamma: gamma must exceed 2 so the mean degree is finite"),
         ("lambda = nan", "lambda: lambda must be a finite number, not nan"),
+        ("model = uniform", "model: unknown model 'uniform'; expected one of "
+                            "('poisson', 'scale_free', 'empirical')"),
+        ("coupling = sideways", "coupling: unknown coupling 'sideways'; expected "
+                                "one of ('independent', 'dependent')"),
+        ("sizes = 100, 10", "sizes: sizes must be strictly increasing"),
+        ("sizes = 0", "sizes: sizes must be a non-empty list of positive integers"),
+        (f"sizes = 10 {2**31 + 1}", f"sizes: {2**31 + 1} vertices: the limit is "
+                                    f"0..{2**31}, because vertex pairs are encoded "
+                                    "as one int64 each"),
+        ("replicates = 0", "replicates: need replicates >= 1"),
+        ("jobs = 0", "jobs: need jobs >= 1"),
     ])
     def test_range_error_names_file_and_line(self, tmp_path, line, what):
         """A value out of its model's range is refused where its line is

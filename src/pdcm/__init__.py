@@ -41,43 +41,6 @@ from .saveprob import (
     monte_carlo_save_frequency,
     parse_save_spec,
 )
-from .simplify import ErasureReport, SimpleGraph, simplify, validate_simple_graph
+from .simplify import ErasureReport, SimpleGraph, simplify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComponentSummary",
-    "DegreeCensus",
-    "DegreeSequence",
-    "ErasureReport",
-    "ExperimentConfig",
-    "IngestStats",
-    "JointDegreeDistribution",
-    "MultiGraph",
-    "SimpleGraph",
-    "component_labels",
-    "degree_census",
-    "derive_seed",
-    "exact_save_probability",
-    "ingest_path",
-    "load_degree_file",
-    "make_generator",
-    "match_stubs",
-    "monte_carlo_save_frequency",
-    "parse_edge_list",
-    "parse_save_spec",
-    "proportion_directed",
-    "read_pdgraph",
-    "replicate_seed",
-    "run_cell",
-    "run_experiment",
-    "sample_sequence",
-    "scale_free_sf",
-    "simplify",
-    "splitmix64",
-    "strongly_connected_components",
-    "to_partially_directed",
-    "total_variation",
-    "validate_simple_graph",
-    "write_pdgraph",
-]

@@ -18,7 +18,8 @@ import sys
 
 from .components import strongly_connected_components, write_component_csv
 from .degrees import COUPLINGS, MODELS, sample_sequence
-from .experiment import CONFIG_KEYS, config_from_mapping, parse_config_file, run_experiment
+from .experiment import (CONFIG_KEYS, _checked, config_from_mapping, parse_config_file,
+                         run_experiment)
 from .ingest import ingest_path, read_pdgraph, write_pdgraph
 from .matching import match_stubs
 from .rng import derive_seed
@@ -91,6 +92,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _checked("seed", args.seed)
     spec = parse_save_spec(args.spec)
     exact = exact_save_probability(spec)
     freq, stderr = monte_carlo_save_frequency(spec, args.replicates, args.seed)

@@ -123,6 +123,8 @@ def _checked(key: str, value):
             raise ValueError("sizes must be strictly increasing")
         check_vertex_count(sizes[-1])
         return sizes
+    if key == "seed" and not 0 <= value < 2**64:
+        raise ValueError(f"seed must lie in 0..2^64 - 1, got {value}")
     if key in ("replicates", "jobs") and value < 1:
         raise ValueError(f"need {key} >= 1")
     return value

@@ -28,15 +28,9 @@ import numpy as np
 
 from .degrees import (ParseError, append_to, check_vertex_count, line_at,
                       read_int_rows, slices)
+from .matching import encode
 from .metrics import proportion_directed
-from .simplify import (
-    SimpleGraph,
-    canonical_violation,
-    dedupe,
-    encode,
-    resolve_arcs,
-    run_starts,
-)
+from .simplify import SimpleGraph, canonical_violation, resolve_arcs, run_starts, squeeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +86,10 @@ def _classify(arcs: np.ndarray, n: int):
     simplifier's kernel does the work.
     """
     check_vertex_count(n)
-    t, h = arcs[:, 0], arcs[:, 1]
-    keep = t != h
-    kept = int(keep.sum())
-    unique = dedupe(encode(t[keep], h[keep], n))
+    unique, loops = squeeze(encode(arcs[:, 0], arcs[:, 1], n), n)
     dir_codes, und_codes, _, _ = resolve_arcs(unique, unique[:0], n)
     g = SimpleGraph(n, dir_codes, und_codes)
-    return g, arcs.shape[0] - kept, kept - unique.size
+    return g, loops, arcs.shape[0] - loops - unique.size
 
 
 def to_partially_directed(raw: RawArcList) -> tuple[SimpleGraph, IngestStats]:

@@ -22,31 +22,45 @@ from .rng import make_generator, make_generators
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
 
 
+def encode(a, b, n: int) -> np.ndarray:
+    """int64 codes a * n + b of the pairs (a[i], b[i])."""
+    codes = a.astype(np.int64)
+    codes *= n
+    codes += b
+    return codes
+
+
+def decode(codes: np.ndarray, n: int):
+    """The uint32 id arrays (a, b) of the int64 codes a * n + b."""
+    a, b = np.empty((2, codes.size), dtype=VERTEX_DTYPE)
+    np.divmod(codes, n, out=(a, b), casting="unsafe")
+    return a, b
+
+
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
-    """Raw matching output: arcs and undirected edges, duplicates included.
+    """Raw matching output as int64 pair codes, duplicates included: arcs
+    ``t * n + h`` and undirected edges ``min * n + max``.
 
-    Undirected pairs are stored with u <= v.  ``source_degrees`` is the
-    sequence of one block; the graph is ``n // source_degrees.n`` disjoint
-    blocks of it, block j on the vertex ids [j*m, (j+1)*m) for m =
-    ``source_degrees.n``.  The stubs that found no partner (rule (a)) are
-    what the blocks' stub totals hold beyond the paired ones.
+    ``source_degrees`` is the sequence of one block; the graph is
+    ``n // source_degrees.n`` disjoint blocks of it, block j on the vertex
+    ids [j*m, (j+1)*m) for m = ``source_degrees.n``.  The stubs that found
+    no partner (rule (a)) are what the blocks' stub totals hold beyond the
+    paired ones.
     """
 
     n: int
-    arc_tails: np.ndarray
-    arc_heads: np.ndarray
-    und_u: np.ndarray
-    und_v: np.ndarray
+    arc_codes: np.ndarray
+    und_codes: np.ndarray
     source_degrees: DegreeSequence
 
     @property
     def n_arcs(self) -> int:
-        return self.arc_tails.shape[0]
+        return self.arc_codes.shape[0]
 
     @property
     def n_und_edges(self) -> int:
-        return self.und_u.shape[0]
+        return self.und_codes.shape[0]
 
     @property
     def blocks(self) -> int:
@@ -65,17 +79,20 @@ class MultiGraph:
         return self.blocks * self.source_degrees.s_out - self.n_arcs
 
 
-def _stub_owners(seq: DegreeSequence):
-    """Owner ids of every (in, out, und) stub, plus the directed list that
-    is shuffled -- the longer one, the in-stubs on a tie.
+def _stub_owners(seq: DegreeSequence, reps: int):
+    """Owner ids of the undirected stubs and of the directed list that is
+    shuffled -- the longer one, the in-stubs on a tie -- each tiled to
+    ``reps`` rows, of the other directed list, and whether the in-stubs
+    are the shuffled list.
 
     Built per matching and stored nowhere: the sequence lives as long as
     every graph matched from it (``source_degrees``).
     """
     ids = np.arange(seq.n, dtype=VERTEX_DTYPE)
-    in_stubs, out_stubs = np.repeat(ids, seq.in_deg), np.repeat(ids, seq.out_deg)
-    longer = in_stubs if in_stubs.size >= out_stubs.size else out_stubs
-    return in_stubs, out_stubs, np.repeat(ids, seq.und_deg), longer
+    in_drawn = seq.s_in >= seq.s_out
+    drawn, other = (seq.in_deg, seq.out_deg) if in_drawn else (seq.out_deg, seq.in_deg)
+    und, drawn = (np.tile(np.repeat(ids, deg), (reps, 1)) for deg in (seq.und_deg, drawn))
+    return und, drawn, np.repeat(ids, other), in_drawn
 
 
 def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:
@@ -94,28 +111,22 @@ def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:
     stubs = reps * max(seq.s_in, seq.s_out, seq.s_und)
     if stubs > MAX_VERTICES:  # before the stub arrays are allocated
         raise ValueError(f"{stubs} stubs of one type: the limit is {MAX_VERTICES}")
-    in_stubs, out_stubs, und_stubs, longer = _stub_owners(seq)
-    und, drawn = np.tile(und_stubs, (reps, 1)), np.tile(longer, (reps, 1))
-    for rng, und_row, drawn_row in zip(rngs, und, drawn):
-        rng.shuffle(und_row)
-        rng.shuffle(drawn_row)
+    und, drawn, other, in_drawn = _stub_owners(seq, reps)
+    for j, rng in enumerate(rngs):  # no row view outlives the loop
+        rng.shuffle(und[j])
+        rng.shuffle(drawn[j])
     offset = (np.arange(reps, dtype=np.int64) * n).astype(VERTEX_DTYPE)[:, None]
     und += offset
-    drawn += offset
     paired = 2 * (und.shape[1] // 2)
     und_u, und_v = und[:, 0:paired:2], und[:, 1:paired:2]
-    if in_stubs.size >= out_stubs.size:
-        tails, heads = out_stubs + offset, drawn[:, :out_stubs.size]
-    else:
-        tails, heads = drawn[:, :in_stubs.size], in_stubs + offset
-    return MultiGraph(
-        n=reps * n,
-        arc_tails=tails.ravel(),
-        arc_heads=heads.ravel(),
-        und_u=np.minimum(und_u, und_v).ravel(),
-        und_v=np.maximum(und_u, und_v).ravel(),
-        source_degrees=seq,
-    )
+    und_codes = encode(np.minimum(und_u, und_v), np.maximum(und_u, und_v), reps * n)
+    del und, und_u, und_v
+    drawn += offset
+    other = other + offset
+    matched = drawn[:, :other.shape[1]]
+    tails, heads = (other, matched) if in_drawn else (matched, other)
+    arc_codes = encode(tails, heads, reps * n)
+    return MultiGraph(reps * n, arc_codes.ravel(), und_codes.ravel(), seq)
 
 
 def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:

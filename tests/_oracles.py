@@ -13,25 +13,57 @@ def multigraph(n, arcs, und_edges, *, unpaired_in=(), unpaired_out=(),
     produced exactly this matching.
     """
     from pdcm.degrees import DegreeSequence
-    from pdcm.matching import VERTEX_DTYPE, MultiGraph
+    from pdcm.matching import MultiGraph, encode
 
-    arcs = np.asarray(arcs, dtype=VERTEX_DTYPE).reshape(-1, 2)
-    unds = np.sort(np.asarray(und_edges, dtype=VERTEX_DTYPE).reshape(-1, 2), axis=1)
+    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
+    unds = np.sort(np.asarray(und_edges, dtype=np.int64).reshape(-1, 2), axis=1)
     if source_degrees is None:
         deg = np.zeros((n, 3), dtype=np.int64)
         for col, ids in ((0, arcs[:, 1]), (0, unpaired_in), (1, arcs[:, 0]),
                          (1, unpaired_out), (2, unds.ravel()), (2, unpaired_und)):
             deg[:, col] += np.bincount(np.asarray(ids, dtype=np.int64), minlength=n)
         source_degrees = DegreeSequence(deg)
-    return MultiGraph(n, *(np.ascontiguousarray(c) for c in (
-        arcs[:, 0], arcs[:, 1], unds[:, 0], unds[:, 1])), source_degrees)
+    return MultiGraph(n, encode(arcs[:, 0], arcs[:, 1], n),
+                      encode(unds[:, 0], unds[:, 1], n), source_degrees)
+
+
+def multigraph_pairs(mg):
+    """(arcs, undirected edges) of a MultiGraph as (m, 2) int64 id arrays,
+    in stored order, undirected pairs with u <= v."""
+    return (np.stack(np.divmod(mg.arc_codes, mg.n), axis=1),
+            np.stack(np.divmod(mg.und_codes, mg.n), axis=1))
+
+
+def validate_simple_graph(g) -> None:
+    """Raise ValueError if g breaks any simplicity invariant."""
+    from pdcm.matching import encode
+    from pdcm.simplify import canonical_violation
+
+    bad = canonical_violation(g.n, encode(g.dir_tails, g.dir_heads, g.n),
+                              encode(g.und_u, g.und_v, g.n))
+    if bad:
+        raise ValueError(bad[0])
+
+
+def adjacency_reference(g):
+    """The reachability view as scipy builds it from COO triplets: int32
+    row and column arrays, each undirected edge both ways, converted to
+    CSR.  The CSR builder in pdcm.components must give the same indptr
+    and the same neighbour set per row."""
+    from scipy.sparse import coo_matrix
+
+    rows = np.concatenate([g.dir_tails, g.und_u, g.und_v]).view(np.int32)
+    cols = np.concatenate([g.dir_heads, g.und_v, g.und_u]).view(np.int32)
+    return coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                      shape=(g.n, g.n)).tocsr()
 
 
 def simple_graph(n, tails, heads, us, vs):
     """A SimpleGraph from edge columns in any order: the columns must
     align and hold ids in 0..n-1; they are encoded (undirected pairs as
     u <= v) and sorted, and the graph must pass validate_simple_graph."""
-    from pdcm.simplify import SimpleGraph, encode, validate_simple_graph
+    from pdcm.matching import encode
+    from pdcm.simplify import SimpleGraph
 
     t, h, u, v = (np.asarray(x, dtype=np.int64) for x in (tails, heads, us, vs))
     if t.shape != h.shape or u.shape != v.shape:
@@ -373,8 +405,7 @@ def simplify_reference(mg):
     dir_parallel, pairs, final_dir, final_und)`` with both final edge
     lists sorted; the simplifier must agree with it exactly.
     """
-    arcs = list(zip(mg.arc_tails.tolist(), mg.arc_heads.tolist()))
-    unds = list(zip(mg.und_u.tolist(), mg.und_v.tolist()))
+    arcs, unds = (list(map(tuple, pairs.tolist())) for pairs in multigraph_pairs(mg))
 
     kept_arcs = [(t, h) for t, h in arcs if t != h]
     self_dir = len(arcs) - len(kept_arcs)

@@ -19,6 +19,7 @@ from _oracles import (
     save_battery,
     scale_free_cdf,
     scale_free_mean,
+    validate_simple_graph,
 )
 from pdcm.components import component_labels, strongly_connected_components
 from pdcm.degrees import (
@@ -35,7 +36,7 @@ from pdcm.saveprob import (
     exact_save_probability,
     monte_carlo_save_frequency,
 )
-from pdcm.simplify import simplify, validate_simple_graph
+from pdcm.simplify import simplify
 
 DATA = Path(__file__).parent.parent / "data"
 

@@ -377,6 +377,69 @@ def test_non_utf8_byte_names_file_and_line(tmp_path, capsys, command, flag, body
     assert f"{bad}: line 2: " in err
 
 
+class TestSeedRange:
+    """--seed of generate, experiment and oracle, and a config file's seed
+    line, take 0 <= seed < 2^64 and refuse the rest with exit 1 before
+    any output is written."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        spec = tmp_path / "tri.txt"
+        spec.write_text("1 1 0\n1 1 0\n1 1 0\n")
+        return {
+            "generate": ["generate", "--model", "poisson", "--lambda", "7",
+                         "--coupling", "independent", "--n", "300",
+                         "--output", str(tmp_path / "g.pdgraph"),
+                         "--report", str(tmp_path / "g.json")],
+            "experiment": ["experiment", "--model", "poisson", "--lambda", "5",
+                           "--coupling", "independent", "--sizes", "30,60",
+                           "--replicates", "2", "--output", str(tmp_path / "m.csv"),
+                           "--quiet"],
+            "oracle": ["oracle", "--spec", str(spec), "--replicates", "2000"],
+        }[command]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["generate", "experiment", "oracle"])
+    def test_flag_outside_range_is_runtime_error(self, tmp_path, capsys, command, seed):
+        rc, out, err = run(capsys, *self.argv(command, tmp_path), "--seed", str(seed))
+        assert rc == 1 and out == ""
+        assert err == f"pdcm: error: seed must lie in 0..2^64 - 1, got {seed}\n"
+        assert not any(tmp_path.glob("[gm].*"))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_line_outside_range_is_runtime_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"model = poisson\nseed = {seed}\n")
+        rc, _, err = run(capsys, "experiment", "--config", str(cfg),
+                         "--output", str(tmp_path / "m.csv"))
+        assert rc == 1
+        assert err == (f"pdcm: error: {cfg}: line 2: seed: seed must lie in "
+                       f"0..2^64 - 1, got {seed}\n")
+
+    @pytest.mark.parametrize("seed,shas", [
+        (0, ("306a02d6cd72b5e29fcf1dbd78ba5ccd9635fc1570d1aed6acdf9dc8c60ef078",
+             "dce482c20cc8498e2a6120cb39ba0b682019e68d90960048e305cb8ad74c260f",
+             "4157326c40bfbec091a21f699dd72dfe0ee949aa6cf2b4e6fa693dfc9a7ff809",
+             "314071e85deb33453e221884fa1d5c8cab3c02b7cdd76e9c4eecedf9b2cfad1f")),
+        (2**64 - 1,
+         ("cc203ebe1e8fbc4ae56ed6cffaeabb12f61b74368e24366b888423d8e88cab47",
+          "53b4fa2100ef9ad885ce3327f7ba049183e44fb4e75452701a16a22da86b929b",
+          "655e649d3d28e008ed6315fe204a98b2177930d1df005b819ee9e09bfe744287",
+          "e0dbc2bee96c3e74efb97e892d50ff1fa8bb5a7b5c71b2138709d9f6f22dd6d9")),
+    ])
+    def test_range_ends_keep_their_outputs(self, tmp_path, capsys, seed, shas):
+        """sha256 of the pdgraph, the report, the CSV and the oracle's
+        stdout, recorded before seeds were range-checked."""
+        got = []
+        for command in ("generate", "experiment", "oracle"):
+            rc, out, _ = run(capsys, *self.argv(command, tmp_path), "--seed", str(seed))
+            assert rc == 0
+            got.append(out)
+        digests = [TestOutputPins.digest(tmp_path / name)
+                   for name in ("g.pdgraph", "g.json", "m.csv")]
+        assert (*digests, hashlib.sha256(got[2].encode()).hexdigest()) == shas
+
+
 class TestOutputPins:
     """sha256 of output files and JSON output, recorded on earlier
     versions of the code (generate and ingest before the sorted pair-code

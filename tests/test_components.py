@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdcm.components
 from _oracles import (
+    adjacency_reference,
     brute_scc_partition,
     brute_scc_sizes,
     directed_pairs,
+    multigraph,
     poisson_graph,
     random_simple_graph,
     simple_graph,
@@ -15,11 +20,13 @@ from _oracles import (
 )
 from pdcm.components import (
     ComponentSummary,
-    _adjacency,
+    _csr,
+    _labels,
     component_labels,
     strongly_connected_components,
     write_component_csv,
 )
+from pdcm.simplify import simplify
 
 E = np.array([], dtype=np.uint32)
 
@@ -47,33 +54,75 @@ class TestExamples:
 
 
 def test_scc_memory_is_bounded():
-    """The SCC adjacency holds no cast copy, and the decomposition copies
-    none of it.
+    """The CSR build holds its int32 structure and bounded work, and the
+    decomposition copies none of it.
 
     Bounds, from the array sizes, with E adjacency entries (one per arc,
-    two per undirected edge), n vertices and 64 KiB for small objects:
-    - building the adjacency holds the int32 row and column arrays (8 per
-      entry), the COO's int8 ones (1) and the CSR's int32 indices and
-      int8 data (5), plus its int32 indptr (4 per vertex); the old build,
-      with the decomposition's float64 copy, reached 26 bytes per entry;
+    two per undirected edge), A arcs, U undirected edges, n vertices,
+    C = simplify._CHUNK and 64 KiB for small objects:
+    - building the CSR holds the three blocks' int64 row counts (24 per
+      vertex) and, first, bincount's int64 copy of one block's uint32 rows
+      (8 A at most); then the third block's sorted (v, u) codes and their
+      uint32 ids (16 U); then those ids (8 U), the int32 indices (4 E),
+      the int32 indptr, the int64 fill marks and one block's row shifts
+      with their cumulative sum and one more temporary (36 per vertex
+      beside the counts), and one chunk's int64 slots, ranks and rows
+      (32 C).  The COO build reached 14 bytes per entry;
     - the decomposition holds the labels and scipy's int32 work arrays,
-      at most four int32 per vertex and nothing per entry: the float64
-      weights are one zero-stride 1.0, so connected_components'
-      astype(float64) copies nothing.  A copy of the weights would add 8
-      bytes per entry, one of the indices 4."""
-    from scipy.sparse.csgraph import connected_components
+      at most four int32 per vertex and nothing per entry: the arrays are
+      wrapped as they are and the float64 weights are one zero-stride
+      1.0, so connected_components' astype(float64) copies nothing.  A
+      copy of the weights would add 8 bytes per entry, one of the
+      indices 4."""
+    import scipy.sparse.csgraph  # noqa: F401  # loaded untraced
+    from pdcm.simplify import _CHUNK
 
     g = poisson_graph(100_000)
-    entries = g.num_directed + 2 * g.num_undirected
-    adj, peak = traced_peak(_adjacency, g)
-    assert adj.nnz == entries
-    assert peak <= 14 * entries + 4 * (g.n + 1) + (64 << 10), \
-        f"{peak / entries:.1f} bytes per entry"
-    (count, labels), peak = traced_peak(
-        connected_components, adj, True, "strong")
-    assert labels.size == g.n and count >= 1
-    assert peak <= 16 * g.n + (64 << 10), f"{peak / g.n:.1f} bytes per vertex"
+    n, entries = g.n, g.num_directed + 2 * g.num_undirected
+    a, u = g.num_directed, g.num_undirected
+    (_, indptr, indices), peak = traced_peak(_csr, g)
+    assert indices.size == entries and indptr[-1] == entries
+    bound = (24 * n + max(8 * a, 16 * u, 8 * u + 4 * entries + 36 * (n + 1) + 32 * _CHUNK)
+             + (64 << 10))
+    assert bound < 14 * entries
+    assert peak <= bound, f"{peak / entries:.1f} bytes per entry"
+    labels, peak = traced_peak(_labels, n, indptr, indices)
+    assert labels.size == n
+    assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
     assert np.array_equal(labels, component_labels(g))
+
+
+_ENDS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), _ENDS, _ENDS)
+@example(5, [], [])  # no edge: every vertex isolated
+@example(6, [(0, 1), (1, 2), (5, 0), (4, 3)], [])  # arcs only
+@example(6, [], [(0, 1), (1, 2), (2, 5), (4, 3)])  # undirected edges only
+@example(4, [(1, 0), (1, 3), (2, 1)], [(1, 2), (0, 2), (3, 2)])  # shared rows
+def test_csr_matches_coo_reference(n, arcs, unds):
+    """The numpy CSR build gives scipy's COO-to-CSR indptr and the same
+    neighbour set per row, in chunks of any size: with chunks of 3 codes
+    every block crosses chunk boundaries."""
+    g, _ = simplify(multigraph(n, [(a % n, b % n) for a, b in arcs],
+                               [(a % n, b % n) for a, b in unds]))
+    ref = adjacency_reference(g)
+    for chunk in (pdcm.components._CHUNK, 3):
+        with mock.patch.object(pdcm.components, "_CHUNK", chunk):
+            m, indptr, indices = _csr(g)
+        assert m == g.n and indptr.dtype == indices.dtype == np.int32
+        assert indptr.tolist() == ref.indptr.tolist()
+        for row in range(g.n):
+            got = indices[indptr[row]:indptr[row + 1]]
+            assert sorted(got.tolist()) == sorted(ref.indices[ref.indptr[row]:
+                                                              ref.indptr[row + 1]].tolist())
+
+
+def test_csr_of_the_empty_graph():
+    n, indptr, indices = _csr(simple_graph(0, E, E, E, E))
+    assert (n, indptr.tolist(), indices.size) == (0, [0], 0)
+    assert strongly_connected_components(simple_graph(0, E, E, E, E)).num_components == 0
 
 
 class TestSummary:

@@ -146,6 +146,8 @@ class TestConfigFile:
                                     "as one int64 each"),
         ("replicates = 0", "replicates: need replicates >= 1"),
         ("jobs = 0", "jobs: need jobs >= 1"),
+        ("seed = -1", "seed: seed must lie in 0..2^64 - 1, got -1"),
+        (f"seed = {2**64}", f"seed: seed must lie in 0..2^64 - 1, got {2**64}"),
     ])
     def test_range_error_names_file_and_line(self, tmp_path, line, what):
         """A value out of its model's range is refused where its line is

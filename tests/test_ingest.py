@@ -20,6 +20,7 @@ from _oracles import (
     random_simple_graph,
     traced_peak,
     undirected_pairs,
+    validate_simple_graph,
 )
 from pdcm import degrees
 from pdcm.degrees import load_degree_file
@@ -35,7 +36,6 @@ from pdcm.ingest import (
     to_partially_directed,
     write_pdgraph,
 )
-from pdcm.simplify import validate_simple_graph
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -506,23 +506,32 @@ def test_read_pdgraph_memory_is_bounded(tmp_path):
     """The reader holds at most the body, the pair codes and one slice, or
     the codes and the layout checks' arrays, or the codes and the graph.
 
-    Bound, from the array sizes, with B body bytes, L lines and A arcs:
+    Bound, from the array sizes, with B body bytes, L lines, A arcs, U
+    undirected edges and C = simplify._CHUNK:
       8 L      the int64 pair codes, held throughout;
       B + 1    the body while it is tokenised;
-      27 A     the layout checks: three int64 arrays per arc (the
-               unordered-pair codes, their searchsorted positions and the
-               gathered matches) and three bool masks;
+      8 max(A, U) + 2 A + 3 U + 40 C
+               the layout checks: one int64 scratch array for their
+               arithmetic and then the unordered-pair codes, the four
+               checks' byte masks with the copy the last is built from
+               (or the pairs' two masks and the last check's), and one
+               chunk's int64 temporaries; at most 20 A here, down from
+               the 27 A of three int64 arrays per arc and three masks;
       8 L      the returned graph's four uint32 id arrays;
       8 _SLICE one slice, its tag-free copy and its ids (16 bytes per line
                of at least 6 bytes, doubled while fromstring grows them).
     The old reader held the body, its tag-free copy, the (L, 2) int64 ids
     and four int64 divmod arrays at once, over 70 bytes per line here."""
+    from pdcm.simplify import _CHUNK
+
     g = poisson_graph(100_000)
     path = tmp_path / "g.pdgraph"
     write_pdgraph(g, path)
     body = path.stat().st_size - len("# pdgraph n=100000\n")
-    lines, arcs = g.num_directed + g.num_undirected, g.num_directed
-    bound = 8 * lines + max(body + 1, 27 * arcs, 8 * lines) + 8 * (1 << 20)
+    lines, arcs, unds = g.num_directed + g.num_undirected, g.num_directed, g.num_undirected
+    layout = 8 * max(arcs, unds) + 2 * arcs + 3 * unds + 40 * _CHUNK
+    assert layout <= 20 * arcs
+    bound = 8 * lines + max(body + 1, layout, 8 * lines) + 8 * (1 << 20)
     h, peak = traced_peak(read_pdgraph, path)
     assert np.array_equal(h.dir_heads, g.dir_heads)
     assert peak <= bound, f"{peak / lines:.1f} bytes per line"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import multigraph
+from _oracles import multigraph, multigraph_pairs
 from pdcm.degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
 from pdcm.matching import match_stubs, match_stubs_union
 from pdcm.simplify import simplify
@@ -21,22 +21,23 @@ def seq_of(rows):
 
 def arcs_of(mg):
     """(m, 2) array of (tail, head) pairs."""
-    return np.stack([mg.arc_tails, mg.arc_heads], axis=1)
+    return multigraph_pairs(mg)[0]
 
 
 def und_edges_of(mg):
     """(m, 2) array of unordered pairs, stored with u <= v."""
-    return np.stack([mg.und_u, mg.und_v], axis=1)
+    return multigraph_pairs(mg)[1]
 
 
 def unmatched(mg):
     """(n, 3) per-vertex (in, out, und) stubs that found no partner: the
     blocks' source degrees minus the stubs the edges hold."""
     n = mg.n
+    arcs, unds = multigraph_pairs(mg)
     held = np.stack([
-        np.bincount(mg.arc_heads, minlength=n),
-        np.bincount(mg.arc_tails, minlength=n),
-        np.bincount(mg.und_u, minlength=n) + np.bincount(mg.und_v, minlength=n),
+        np.bincount(arcs[:, 1], minlength=n),
+        np.bincount(arcs[:, 0], minlength=n),
+        np.bincount(unds.ravel(), minlength=n),
     ], axis=1)
     return np.tile(mg.source_degrees.triples, (mg.blocks, 1)) - held
 
@@ -57,7 +58,7 @@ class TestSmallExamples:
     def test_surplus_out_stub_recorded(self):
         mg = match_stubs(seq_of([(1, 0, 0), (0, 1, 0), (0, 1, 0)]), seed=0)
         assert mg.n_arcs == 1
-        assert int(mg.arc_heads[0]) == 0
+        assert arcs_of(mg)[0, 1] == 0
         assert (mg.leftover_in, mg.leftover_out) == (0, 1)
         assert unmatched(mg).sum(axis=0).tolist() == [0, 1, 0]
 
@@ -68,7 +69,7 @@ class TestSmallExamples:
         wins = 0
         trials = 100_000
         for s in range(trials):
-            wins += int(match_stubs(seq, seed=s).arc_tails[0]) == 1
+            wins += int(arcs_of(match_stubs(seq, seed=s))[0, 0]) == 1
         assert abs(wins / trials - 0.5) <= 3 * np.sqrt(0.25 / trials)
 
     def test_unpaired_stub_is_a_uniform_choice(self):
@@ -106,9 +107,12 @@ def test_matching_leaves_no_state_on_the_sequence():
 
 
 def test_vertex_ids_are_32_bit():
+    """The matching hands simplify int64 pair codes; the simple graph's
+    ids are uint32."""
     mg = match_stubs(seq_of([(1, 1, 1), (1, 1, 1)]), seed=3)
-    assert mg.arc_tails.dtype == np.uint32
-    assert mg.und_u.dtype == np.uint32
+    assert mg.arc_codes.dtype == mg.und_codes.dtype == np.int64
+    g, _ = simplify(mg)
+    assert g.dir_tails.dtype == g.und_u.dtype == np.uint32
 
 
 def test_vertex_count_limit_boundary():
@@ -161,8 +165,8 @@ def test_stub_conservation(rows, seed):
 @settings(max_examples=100, deadline=None)
 @given(triples_strategy, st.integers(0, 10**6))
 def test_und_pairs_normalized(rows, seed):
-    mg = match_stubs(seq_of(rows), seed=seed)
-    assert (mg.und_u <= mg.und_v).all()
+    unds = und_edges_of(match_stubs(seq_of(rows), seed=seed))
+    assert (unds[:, 0] <= unds[:, 1]).all()
 
 
 def test_exchangeability_spot_check():
@@ -233,9 +237,9 @@ def test_one_matching_body(rows, seeds):
     seq = seq_of(rows)
     one, union = match_stubs(seq, seeds[0]), match_stubs_union(seq, seeds[:1])
     assert (one.n, one.source_degrees) == (union.n, union.source_degrees)
-    for name in ("arc_tails", "arc_heads", "und_u", "und_v"):
+    for name in ("arc_codes", "und_codes"):
         a, b = getattr(one, name), getattr(union, name)
-        assert a.dtype == b.dtype == np.uint32
+        assert a.dtype == b.dtype == np.int64
         assert a.tolist() == b.tolist()
     reports = [simplify(match_stubs(seq, s))[1].as_dict() for s in seeds]
     _, report = simplify(match_stubs_union(seq, seeds))

@@ -1,4 +1,6 @@
+import importlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,18 +13,14 @@ from _oracles import (
     simple_graph,
     simple_graph_reference,
     simplify_reference,
+    traced_peak,
     undirected_pairs,
+    validate_simple_graph,
 )
 from _oracles import multigraph as mg_of
 from pdcm.degrees import DegreeSequence, JointDegreeDistribution, sample_sequence
-from pdcm.matching import match_stubs
-from pdcm.simplify import (
-    ErasureReport,
-    SimpleGraph,
-    encode,
-    simplify,
-    validate_simple_graph,
-)
+from pdcm.matching import encode, match_stubs
+from pdcm.simplify import ErasureReport, SimpleGraph, simplify
 
 
 class TestRuleExamples:
@@ -84,13 +82,77 @@ def test_kernel_matches_reference(n, seed):
     arcs = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
     unds = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
     mg = mg_of(n, arcs, unds)
+    expected = simplify_reference(mg)  # simplify sorts mg's codes in place
     g, r = simplify(mg)
-    assert simplify_reference(mg) == (
+    assert expected == (
         r.self_loops_dir, r.self_loops_und, r.parallel_dir, r.parallel_und,
         r.dir_parallel_to_und, r.reciprocal_pairs_converted,
         [tuple(p) for p in directed_pairs(g).tolist()],
         [tuple(p) for p in undirected_pairs(g).tolist()],
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**31))
+def test_kernels_in_small_chunks_match_references(n, seed):
+    """With chunks of 1 and 3 codes every chunked kernel crosses chunk
+    boundaries, and the degree count takes several bincounts: the rules
+    still agree with the set-based reference, and the layout checks and
+    degree triples with the plain-Python one."""
+    rng = np.random.default_rng(seed)
+    arcs = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
+    unds = rng.integers(0, n, (int(rng.integers(0, 25)), 2))
+    columns = (arcs[:, 0], arcs[:, 1], unds[:, 0], unds[:, 1])
+    expected = simplify_reference(mg_of(n, arcs, unds))
+    for chunk in (1, 3):
+        with mock.patch.object(importlib.import_module("pdcm.simplify"), "_CHUNK", chunk):
+            g, r = simplify(mg_of(n, arcs, unds))
+            try:
+                h = simple_graph(n, *columns)
+            except ValueError as e:
+                layout = ("err", str(e))
+            else:
+                layout = ("ok", directed_pairs(h).tolist(), undirected_pairs(h).tolist(),
+                          h.degree_triples().tolist())
+        assert expected == (
+            r.self_loops_dir, r.self_loops_und, r.parallel_dir, r.parallel_und,
+            r.dir_parallel_to_und, r.reciprocal_pairs_converted,
+            [tuple(p) for p in directed_pairs(g).tolist()],
+            [tuple(p) for p in undirected_pairs(g).tolist()],
+        )
+        assert layout == simple_graph_reference(n, *(c.tolist() for c in columns))
+
+
+def test_simplify_memory_is_bounded():
+    """simplify sorts and compacts the matching's codes in place and holds
+    little beside them.
+
+    Bound, from the array sizes, beyond the input's 8 E bytes of codes,
+    with E raw edges, A arcs, U undirected edges, n vertices,
+    C = simplify._CHUNK and 64 KiB for small objects, at the largest of:
+      12 A       resolving the arcs: their int64 unordered-pair codes and
+                 at most four byte masks at once,
+      10 A + 8 U or those codes, two masks and the merged int64
+                 undirected codes;
+      8 E + 8 U  the returned graph's uint32 ids beside the merged codes;
+      8 E + 32 n + 128 C
+                 the graph, its int64 degree triples and one bincount of
+                 16 C ids, with their int64 copy;
+    plus one chunk's int64 temporaries (40 C).  The old simplify copied
+    the ids into fresh codes, allocating about 27 bytes per edge."""
+    from pdcm.simplify import _CHUNK
+
+    n = 10**6
+    seq = sample_sequence(JointDegreeDistribution.poisson(7, "independent"), n, 1)
+    mg = match_stubs(seq, 2)
+    a, u = mg.n_arcs, mg.n_und_edges
+    edges = a + u
+    bound = max(12 * a, 10 * a + 8 * u, 8 * edges + 8 * u,
+                8 * edges + 32 * n + 128 * _CHUNK) + 40 * _CHUNK + (64 << 10)
+    assert bound <= 14 * edges
+    (g, _), peak = traced_peak(simplify, mg)
+    assert g.num_directed + g.num_undirected > 0.99 * edges
+    assert peak <= bound, f"{peak / edges:.1f} bytes per edge"
 
 
 @settings(max_examples=150, deadline=None)

@@ -122,28 +122,59 @@ def ingest_path(path) -> tuple[SimpleGraph, IngestStats]:
 # pdgraph text format
 # ---------------------------------------------------------------------------
 
-_WRITE_ROWS = 1 << 12
+_WRITE_ROWS = 1 << 14
+# "0".."9", "00".."99" and "0000".."9999" as uint64s whose low bytes are
+# the ASCII digits in file order
+_DIGITS1 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+_DIGITS2 = (_DIGITS1[:, None] | _DIGITS1 << np.uint64(8)).ravel()
+_DIGITS4 = (_DIGITS2[:, None] | _DIGITS2 << np.uint64(16)).ravel()
+_POWERS10 = 10 ** np.arange(1, 10)
+_U8 = np.uint64(8)
 # the longest run of canonical lines ("D a b" or "U a b", ids decimal
 # without leading zeros) from the start; possessive, so a bad line stops it
 # without any backtracking
 _LINES = re.compile(rb"(?:[DU] [1-9][0-9]{0,9}+ [1-9][0-9]{0,9}+\n)*+")
 
 
-def _write_block(fh, tag: str, first: np.ndarray, second: np.ndarray) -> None:
-    """One "<tag> a b" line per pair, ids shifted to 1-based, one format
-    operation per chunk of rows."""
+def _id_words(ids, lead: int):
+    """Each id of ``ids`` + 1 as two uint64s of ASCII: bytes 0-5 of the
+    first are ``lead``'s, bytes 6-7 its digits 10 and 9 (ids stay below
+    2^31 + 1), the second its last 8 digits.  The bytes of leading zeros
+    are shifted out to NUL."""
+    ids = ids.astype(np.int64) + 1
+    zeros = 9 - np.searchsorted(_POWERS10, ids, side="right")
+    high, low = np.divmod(ids, 10**8)
+    first = _DIGITS2[high]
+    shift = _U8 * np.minimum(zeros, 2).astype(np.uint64)
+    first = (first >> shift) << (shift + np.uint64(48)) | np.uint64(lead)
+    second = _DIGITS4[low // 10**4] | _DIGITS4[low % 10**4] << np.uint64(32)
+    shift = _U8 * np.maximum(zeros - 2, 0).astype(np.uint64)
+    return first, (second >> shift) << shift
+
+
+def _write_block(fh, tag: bytes, first: np.ndarray, second: np.ndarray) -> None:
+    """Per pair a newline, then "<tag> a b" with the ids shifted to
+    1-based: four uint64 words of ASCII per row, NUL where a line is
+    shorter, and the NUL bytes dropped before the write."""
+    lead = int.from_bytes(b"\n" + tag + b" ", "little")
     for i in range(0, first.size, _WRITE_ROWS):
-        ids = np.stack([first[i:i + _WRITE_ROWS], second[i:i + _WRITE_ROWS]],
-                       axis=1).astype(np.int64) + 1
-        fh.write((f"{tag} %d %d\n" * ids.shape[0]) % tuple(ids.ravel().tolist()))
+        words = np.empty((min(_WRITE_ROWS, first.size - i), 4), dtype="<u8")
+        words[:, 0], words[:, 1] = _id_words(first[i:i + _WRITE_ROWS], lead)
+        words[:, 2], words[:, 3] = _id_words(second[i:i + _WRITE_ROWS], ord(" "))
+        text = words.view(np.uint8).reshape(-1)
+        fh.write(text[text != 0])
 
 
 def write_pdgraph(g: SimpleGraph, path) -> None:
-    """Canonical text export; byte-stable for identical graphs."""
-    with open(path, "w") as fh:
-        fh.write(f"# pdgraph n={g.n}\n")
-        _write_block(fh, "D", g.dir_tails, g.dir_heads)
-        _write_block(fh, "U", g.und_u, g.und_v)
+    """Canonical text export; byte-stable for identical graphs.  Binary,
+    so no platform turns a newline into CRLF, which read_pdgraph refuses;
+    each line is written with the newline before it, the last one
+    after."""
+    with open(path, "wb") as fh:
+        fh.write(f"# pdgraph n={g.n}".encode())
+        _write_block(fh, b"D", g.dir_tails, g.dir_heads)
+        _write_block(fh, b"U", g.und_u, g.und_v)
+        fh.write(b"\n")
 
 
 def _tokenize(body: bytes):

@@ -17,9 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
-from .rng import make_generator, make_generators
+from .rng import make_generator, make_generators, shuffle_rows
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
+
+# Fisher-Yates swaps per replicate up to which match_stubs_union shuffles a
+# chunk in lockstep (rng.shuffle_rows) rather than with one generator per
+# replicate.  Timed on a 2-vCPU guest at saveprob's chunk size, 2^18 // (n +
+# stubs) replicates, for n equal rows of (1,1,1), (0,1,2) or (2,2,2):
+# lockstep took 0.2-0.6 of the loop's time up to 46 swaps, 0.66-1.01 at
+# 94, 0.92-0.98 at 110-118, 1.25-1.29 at 126 and 1.5-2.9 from 190.
+LOCKSTEP_POSITIONS = 100
 
 
 def encode(a, b, n: int) -> np.ndarray:
@@ -95,16 +103,24 @@ def _stub_owners(seq: DegreeSequence, reps: int):
     return und, drawn, np.repeat(ids, other), in_drawn
 
 
-def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:
-    """One matching of ``seq`` per generator of ``rngs`` (``reps`` of
-    them), replicate j on the vertex ids [j*n, (j+1)*n).
+def _shuffle_each(und, drawn, rngs) -> None:
+    """Shuffle row j of ``und``, then of ``drawn``, with the j-th generator
+    of ``rngs`` (for a 1-D array ``shuffle`` draws exactly what
+    ``permutation`` does)."""
+    for j, rng in enumerate(rngs):  # no row view outlives the loop
+        rng.shuffle(und[j])
+        rng.shuffle(drawn[j])
 
-    Each replicate's stub lists are rows of one tiled array, shuffled in
-    place by its generator: first the undirected row, then the longer
-    directed row (for a 1-D array ``shuffle`` draws exactly what
-    ``permutation`` does).  Consecutive undirected entries then form an
-    edge, and the shorter directed list is paired with the head of the
-    shuffled longer one.
+
+def _match(seq: DegreeSequence, reps: int, shuffle) -> MultiGraph:
+    """``reps`` matchings of ``seq``, replicate j on the vertex ids
+    [j*n, (j+1)*n).
+
+    Each replicate's stub lists are rows of one tiled array, which
+    ``shuffle(und, drawn)`` permutes in place: per replicate, first the
+    undirected row, then the longer directed row, on one stream.
+    Consecutive undirected entries then form an edge, and the shorter
+    directed list is paired with the head of the shuffled longer one.
     """
     n = seq.n
     check_vertex_count(reps * n)
@@ -112,9 +128,7 @@ def _match(seq: DegreeSequence, reps: int, rngs) -> MultiGraph:
     if stubs > MAX_VERTICES:  # before the stub arrays are allocated
         raise ValueError(f"{stubs} stubs of one type: the limit is {MAX_VERTICES}")
     und, drawn, other, in_drawn = _stub_owners(seq, reps)
-    for j, rng in enumerate(rngs):  # no row view outlives the loop
-        rng.shuffle(und[j])
-        rng.shuffle(drawn[j])
+    shuffle(und, drawn)
     offset = (np.arange(reps, dtype=np.int64) * n).astype(VERTEX_DTYPE)[:, None]
     und += offset
     paired = 2 * (und.shape[1] // 2)
@@ -143,7 +157,7 @@ def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:
     one.  Either way every perfect matching of the paired portion is
     equally likely.
     """
-    return _match(seq, 1, [make_generator(seed)])
+    return _match(seq, 1, lambda und, drawn: _shuffle_each(und, drawn, [make_generator(seed)]))
 
 
 def match_stubs_union(seq: DegreeSequence, seeds) -> MultiGraph:
@@ -156,5 +170,15 @@ def match_stubs_union(seq: DegreeSequence, seeds) -> MultiGraph:
     ``simplify`` of the union gives each block what a separate call on
     ``match_stubs(seq, seeds[j])`` would, and its report is the sum of
     theirs.
+
+    Short rows are shuffled for all replicates in lockstep; rows of more
+    than ``LOCKSTEP_POSITIONS`` swaps get one generator per replicate.
+    Both draw what ``match_stubs`` draws.
     """
-    return _match(seq, len(seeds), make_generators(seeds))
+    def shuffle(und, drawn):
+        seed_array = np.asarray(seeds, dtype=np.uint64)  # after the size checks
+        if max(und.shape[1] - 1, 0) + max(drawn.shape[1] - 1, 0) <= LOCKSTEP_POSITIONS:
+            shuffle_rows(seed_array, [und, drawn])
+        else:
+            _shuffle_each(und, drawn, make_generators(seed_array))
+    return _match(seq, len(seeds), shuffle)

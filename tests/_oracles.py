@@ -537,6 +537,17 @@ def densify_reference(arcs):
     return dense.reshape(-1, 2), uniq.size
 
 
+def pdgraph_reference(g) -> bytes:
+    """The pdgraph text of g by %-formatting each block of lines: the
+    header, "D t h" per arc, then "U u v" per undirected edge, ids
+    1-based."""
+    text = [f"# pdgraph n={g.n}\n"]
+    for tag, first, second in (("D", g.dir_tails, g.dir_heads), ("U", g.und_u, g.und_v)):
+        ids = np.stack([first, second], axis=1).astype(np.int64) + 1
+        text.append((f"{tag} %d %d\n" * ids.shape[0]) % tuple(ids.ravel().tolist()))
+    return "".join(text).encode()
+
+
 def poisson_graph(n, seed=1):
     """A Poisson(7) independent graph through the generation pipeline:
     about 7n arcs and 3.5n undirected edges."""

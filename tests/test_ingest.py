@@ -16,13 +16,15 @@ from _oracles import (
     directed_pairs,
     edge_sets,
     int_rows_reference,
+    pdgraph_reference,
     poisson_graph,
     random_simple_graph,
+    simple_graph,
     traced_peak,
     undirected_pairs,
     validate_simple_graph,
 )
-from pdcm import degrees
+from pdcm import degrees, ingest
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
     IngestStats,
@@ -240,6 +242,41 @@ NON_CANONICAL = [
     ("# pdgraph n= 3 \nD 1 2\n", "line 1", "leading zeros"),
     ("# pdgraph n=03\nD 1 2\n", "line 1", "leading zeros"),
 ]
+
+
+# 1-based ids at both ends of every decimal width, up to the largest id
+# that n = 2^31 allows
+WIDTH_IDS = sorted({v for d in range(1, 11) for v in (10**(d - 1), 10**d - 1)
+                    if v <= 2**31} | {2**31})
+
+
+def width_graph():
+    """Arcs between neighbours and undirected edges between second
+    neighbours of WIDTH_IDS, at n = 2^31."""
+    ids = np.array(WIDTH_IDS) - 1
+    return simple_graph(2**31, ids[:-1], ids[1:], ids[:-2], ids[2:])
+
+
+WRITER_GRAPHS = {
+    "every id width": width_graph,
+    "no D block": lambda: simple_graph(5, [], [], [0, 2], [1, 4]),
+    "no U block": lambda: simple_graph(5, [0, 3], [1, 2], [], []),
+    "no edges": lambda: simple_graph(7, [], [], [], []),
+    "n = 0": lambda: simple_graph(0, [], [], [], []),
+    "poisson": lambda: poisson_graph(3000, seed=4),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, ingest._WRITE_ROWS])
+@pytest.mark.parametrize("name", WRITER_GRAPHS)
+def test_writer_bytes_equal_percent_formatting(tmp_path, monkeypatch, name, rows):
+    """The digit-word writer emits what one %-formatted line per edge
+    gives, byte for byte, whatever the rows per write."""
+    g = WRITER_GRAPHS[name]()
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", rows)
+    path = tmp_path / "g.pdgraph"
+    write_pdgraph(g, path)
+    assert path.read_bytes() == pdgraph_reference(g)
 
 
 class TestPdgraphRoundTrip:

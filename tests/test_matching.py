@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import multigraph, multigraph_pairs
+from pdcm import matching
 from pdcm.degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
 from pdcm.matching import match_stubs, match_stubs_union
 from pdcm.simplify import simplify
@@ -245,3 +246,33 @@ def test_one_matching_body(rows, seeds):
     _, report = simplify(match_stubs_union(seq, seeds))
     assert report.as_dict() == {
         key: sum(r[key] for r in reports) for key in reports[0]}
+
+
+# stub counts around the powers of two, where random_interval's mask grows
+STUB_COUNTS = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
+
+
+def spread(total, n):
+    """``total`` stubs dealt round-robin over ``n`` vertices."""
+    return [total // n + (v < total % n) for v in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(STUB_COUNTS), st.sampled_from(STUB_COUNTS),
+       st.sampled_from(STUB_COUNTS),
+       st.lists(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=6))
+def test_union_equals_per_seed_matchings_on_both_sides_of_the_crossover(
+        n, s_in, s_out, s_und, seeds):
+    """match_stubs_union draws what match_stubs draws per seed, whether the
+    chunk is shuffled in lockstep or one generator per replicate."""
+    seq = seq_of(list(zip(spread(s_in, n), spread(s_out, n), spread(s_und, n))))
+    singles = [match_stubs(seq, s) for s in seeds]
+    for limit in (-1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "LOCKSTEP_POSITIONS", limit)
+            union = match_stubs_union(seq, seeds)
+        arcs, unds = (pairs.reshape(len(seeds), -1, 2) for pairs in multigraph_pairs(union))
+        for j, one in enumerate(singles):
+            assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
+            assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()

@@ -93,6 +93,7 @@ def cmd_components(args) -> int:
 
 def cmd_oracle(args) -> int:
     _checked("seed", args.seed)
+    _checked("replicates", args.replicates)
     spec = parse_save_spec(args.spec)
     exact = exact_save_probability(spec)
     freq, stderr = monte_carlo_save_frequency(spec, args.replicates, args.seed)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 
@@ -261,7 +260,9 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
         if config.jobs == 1 or len(pending) <= 1:
             results = (run_cell(dist, label, *cell) for cell in pending)
         else:
+            # imported here so that a run without a pool never loads multiprocessing;
             # the fork start method launches every worker at the first submit
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(pending)), initializer=_init_worker,
                 initargs=(dist, label)))

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
-from .rng import make_generator, make_generators, shuffle_rows
+from .rng import make_generator
 
 VERTEX_DTYPE = np.uint32  # keeps ~4e7-edge graphs to a few hundred MB
-
-# Fisher-Yates swaps per replicate up to which match_stubs_union shuffles a
-# chunk in lockstep (rng.shuffle_rows) rather than with one generator per
-# replicate.  Timed on a 2-vCPU guest at saveprob's chunk size, 2^18 // (n +
-# stubs) replicates, for n equal rows of (1,1,1), (0,1,2) or (2,2,2):
-# lockstep took 0.2-0.6 of the loop's time up to 46 swaps, 0.66-1.01 at
-# 94, 0.92-0.98 at 110-118, 1.25-1.29 at 126 and 1.5-2.9 from 190.
-LOCKSTEP_POSITIONS = 100
 
 
 def encode(a, b, n: int) -> np.ndarray:
@@ -103,24 +95,18 @@ def _stub_owners(seq: DegreeSequence, reps: int):
     return und, drawn, np.repeat(ids, other), in_drawn
 
 
-def _shuffle_each(und, drawn, rngs) -> None:
-    """Shuffle row j of ``und``, then of ``drawn``, with the j-th generator
-    of ``rngs`` (for a 1-D array ``shuffle`` draws exactly what
-    ``permutation`` does)."""
-    for j, rng in enumerate(rngs):  # no row view outlives the loop
-        rng.shuffle(und[j])
-        rng.shuffle(drawn[j])
-
-
-def _match(seq: DegreeSequence, reps: int, shuffle) -> MultiGraph:
+def _match(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
     """``reps`` matchings of ``seq``, replicate j on the vertex ids
     [j*n, (j+1)*n).
 
-    Each replicate's stub lists are rows of one tiled array, which
-    ``shuffle(und, drawn)`` permutes in place: per replicate, first the
-    undirected row, then the longer directed row, on one stream.
-    Consecutive undirected entries then form an edge, and the shorter
-    directed list is paired with the head of the shuffled longer one.
+    Each replicate's stub lists are rows of two tiled arrays, shuffled in
+    place row after row: ``und_rng`` shuffles the undirected rows, then
+    ``drawn_rng`` the longer directed rows.  On a C-contiguous array,
+    ``permuted(x, axis=1, out=x)`` draws what ``shuffle`` draws on each
+    row in turn (for a 1-D array ``shuffle`` draws exactly what
+    ``permutation`` does).  Consecutive undirected entries then form an
+    edge, and the shorter directed list is paired with the head of the
+    shuffled longer one.
     """
     n = seq.n
     check_vertex_count(reps * n)
@@ -128,7 +114,8 @@ def _match(seq: DegreeSequence, reps: int, shuffle) -> MultiGraph:
     if stubs > MAX_VERTICES:  # before the stub arrays are allocated
         raise ValueError(f"{stubs} stubs of one type: the limit is {MAX_VERTICES}")
     und, drawn, other, in_drawn = _stub_owners(seq, reps)
-    shuffle(und, drawn)
+    und_rng.permuted(und, axis=1, out=und)
+    drawn_rng.permuted(drawn, axis=1, out=drawn)
     offset = (np.arange(reps, dtype=np.int64) * n).astype(VERTEX_DTYPE)[:, None]
     und += offset
     paired = 2 * (und.shape[1] // 2)
@@ -157,28 +144,20 @@ def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:
     one.  Either way every perfect matching of the paired portion is
     equally likely.
     """
-    return _match(seq, 1, lambda und, drawn: _shuffle_each(und, drawn, [make_generator(seed)]))
+    rng = make_generator(seed)
+    return _match(seq, 1, rng, rng)
 
 
-def match_stubs_union(seq: DegreeSequence, seeds) -> MultiGraph:
-    """Disjoint union of one matching of ``seq`` per seed.
+def match_stubs_union(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
+    """Disjoint union of ``reps`` matchings of ``seq``, replicate j on the
+    vertex ids [j*n, (j+1)*n).
 
-    Replicate j is matched exactly as ``match_stubs(seq, seeds[j])``
-    would match it -- same generator, same two draws -- and its stub
-    owners are shifted to the vertex ids [j*n, (j+1)*n).  Blocks share
-    no vertex, and every erasure rule acts on vertex pairs, so one
-    ``simplify`` of the union gives each block what a separate call on
-    ``match_stubs(seq, seeds[j])`` would, and its report is the sum of
-    theirs.
-
-    Short rows are shuffled for all replicates in lockstep; rows of more
-    than ``LOCKSTEP_POSITIONS`` swaps get one generator per replicate.
-    Both draw what ``match_stubs`` draws.
+    ``und_rng`` shuffles every replicate's undirected stub list, in
+    replicate order, and ``drawn_rng`` every replicate's longer directed
+    list, so consecutive calls on the same two generators draw what one
+    call with all their replicates would.  Blocks share no vertex, and
+    every erasure rule acts on vertex pairs, so one ``simplify`` of the
+    union gives each block what a separate call on that block's matching
+    would, and its report is the sum of theirs.
     """
-    def shuffle(und, drawn):
-        seed_array = np.asarray(seeds, dtype=np.uint64)  # after the size checks
-        if max(und.shape[1] - 1, 0) + max(drawn.shape[1] - 1, 0) <= LOCKSTEP_POSITIONS:
-            shuffle_rows(seed_array, [und, drawn])
-        else:
-            _shuffle_each(und, drawn, make_generators(seed_array))
-    return _match(seq, len(seeds), shuffle)
+    return _match(seq, reps, und_rng, drawn_rng)

@@ -29,11 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .degrees import DegreeSequence, load_degree_file
 from .matching import match_stubs_union
-from .rng import derive_seed
+from .rng import derive_seed, make_generator
 from .simplify import simplify
 
 # vertices plus stubs per simplified union of Monte Carlo replicates: bounds
@@ -146,23 +144,25 @@ def monte_carlo_save_frequency(seq: DegreeSequence, replicates: int,
     criterion the simplifier uses for its modified-vertex count.
 
     Returns ``(frequency, stderr)`` with the binomial standard error
-    sqrt(f * (1 - f) / replicates).  Replicate r uses the derived seed
-    ``derive_seed(seed, r)``, so replicates are independent streams and
-    may be computed in any order.  Replicates are matched and simplified
-    in chunks, each chunk as one disjoint union (``match_stubs_union``)
-    in a single ``simplify`` call; the result is the same as simplifying
-    ``match_stubs(seq, derive_seed(seed, r))`` once per replicate.
+    sqrt(f * (1 - f) / replicates).  A run draws from two generators:
+    ``make_generator(derive_seed(seed, 0))`` shuffles every replicate's
+    undirected stub list and ``make_generator(derive_seed(seed, 1))``
+    every replicate's drawn directed list, each in replicate order.
+    Replicates are matched and simplified in chunks, each chunk as one
+    disjoint union (``match_stubs_union``) in a single ``simplify`` call;
+    the result is the same as matching one replicate at a time on the
+    two streams and simplifying each alone.
     """
     if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise ValueError("need replicates >= 1")
     target, _ = _split(seq)
     n = seq.n
     chunk = max(1, _UNION_BUDGET // (n + seq.s_in + seq.s_out + seq.s_und))
+    und_rng, drawn_rng = (make_generator(derive_seed(seed, k)) for k in (0, 1))
     hits = 0
     for start in range(0, replicates, chunk):
-        seeds = derive_seed(seed, np.arange(start, min(start + chunk, replicates),
-                                            dtype=np.uint64))
-        g, _ = simplify(match_stubs_union(seq, seeds))
+        reps = min(chunk, replicates - start)
+        g, _ = simplify(match_stubs_union(seq, reps, und_rng, drawn_rng))
         hits += int((g.degree_triples()[::n] == target).all(axis=1).sum())
     freq = hits / replicates
     stderr = math.sqrt(freq * (1.0 - freq) / replicates)

@@ -295,21 +295,34 @@ def save_battery(count=10, seed=20260815):
 def monte_carlo_reference(seq, replicates, seed):
     """The save-frequency estimator as a plain per-replicate loop.
 
-    Replicate r matches on ``derive_seed(seed, r)`` and is simplified on
-    its own; the stream contract says the batched estimator must return
-    exactly this ``(frequency, stderr)``.
+    One generator on ``derive_seed(seed, 0)`` shuffles each replicate's
+    undirected stub list and one on ``derive_seed(seed, 1)`` its longer
+    directed list (the in-stubs on a tie), replicate after replicate; each
+    replicate is paired and simplified on its own.  The stream contract
+    says the batched estimator must return exactly this
+    ``(frequency, stderr)``.
     """
     import math
 
-    from pdcm.matching import match_stubs
-    from pdcm.rng import derive_seed
+    from pdcm.rng import derive_seed, make_generator
     from pdcm.simplify import simplify
 
-    drawn = seq.triples[0].tolist()
+    ids = np.arange(seq.n)
+    in_drawn = seq.s_in >= seq.s_out
+    drawn_deg, other_deg = (seq.in_deg, seq.out_deg) if in_drawn else (seq.out_deg, seq.in_deg)
+    other = np.repeat(ids, other_deg)
+    und_rng, drawn_rng = (make_generator(derive_seed(seed, k)) for k in (0, 1))
+    target = seq.triples[0].tolist()
     hits = 0
-    for r in range(replicates):
-        g, _ = simplify(match_stubs(seq, derive_seed(seed, r)))
-        hits += g.degree_triples()[0].tolist() == drawn
+    for _ in range(replicates):
+        und, drawn = np.repeat(ids, seq.und_deg), np.repeat(ids, drawn_deg)
+        und_rng.shuffle(und)
+        drawn_rng.shuffle(drawn)
+        matched = drawn[:other.size]
+        arcs = np.stack((other, matched) if in_drawn else (matched, other), axis=1)
+        g, _ = simplify(multigraph(seq.n, arcs, und[:und.size // 2 * 2],
+                                   source_degrees=seq))
+        hits += g.degree_triples()[0].tolist() == target
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 

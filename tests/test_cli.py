@@ -309,6 +309,12 @@ class TestOracle:
         assert result["exact"] == pytest.approx(1 / 3)
         assert abs(result["frequency"] - 1 / 3) <= 3 * result["stderr"]
 
+    def test_replicates_checked_before_the_spec_is_read(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "oracle", "--spec", str(tmp_path / "missing.txt"),
+                           "--replicates", "0")
+        assert (rc, out) == (1, "")
+        assert err == "pdcm: error: need replicates >= 1\n"
+
     def test_bad_spec_is_runtime_error(self, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
         spec.write_text("1 1\n")
@@ -420,16 +426,17 @@ class TestSeedRange:
         (0, ("306a02d6cd72b5e29fcf1dbd78ba5ccd9635fc1570d1aed6acdf9dc8c60ef078",
              "dce482c20cc8498e2a6120cb39ba0b682019e68d90960048e305cb8ad74c260f",
              "4157326c40bfbec091a21f699dd72dfe0ee949aa6cf2b4e6fa693dfc9a7ff809",
-             "314071e85deb33453e221884fa1d5c8cab3c02b7cdd76e9c4eecedf9b2cfad1f")),
+             "15e447e1a363614ff4770454944d1b4e9ca59085fc96cb9a59c6219e2565e552")),
         (2**64 - 1,
          ("cc203ebe1e8fbc4ae56ed6cffaeabb12f61b74368e24366b888423d8e88cab47",
           "53b4fa2100ef9ad885ce3327f7ba049183e44fb4e75452701a16a22da86b929b",
           "655e649d3d28e008ed6315fe204a98b2177930d1df005b819ee9e09bfe744287",
-          "e0dbc2bee96c3e74efb97e892d50ff1fa8bb5a7b5c71b2138709d9f6f22dd6d9")),
+          "ca60dca2a78a765434e4315a76bf3b3afce581f190eadf8bcbd18d4870173f18")),
     ])
     def test_range_ends_keep_their_outputs(self, tmp_path, capsys, seed, shas):
-        """sha256 of the pdgraph, the report, the CSV and the oracle's
-        stdout, recorded before seeds were range-checked."""
+        """sha256 of the pdgraph, the report and the CSV, recorded before
+        seeds were range-checked, and of the oracle's stdout, recorded when
+        its replicates moved to two streams."""
         got = []
         for command in ("generate", "experiment", "oracle"):
             rc, out, _ = run(capsys, *self.argv(command, tmp_path), "--seed", str(seed))
@@ -444,9 +451,9 @@ class TestOutputPins:
     """sha256 of output files and JSON output, recorded on earlier
     versions of the code (generate and ingest before the sorted pair-code
     kernel, experiment and oracle before the readers and the direction
-    share were merged, the multi-chunk oracle before its generators were
-    seeded in batches); any change to a random stream, a rule or the
-    file layout moves them."""
+    share were merged, the oracle when its replicates moved to two
+    streams); any change to a random stream, a rule or the file layout
+    moves them."""
 
     @staticmethod
     def digest(path):
@@ -509,7 +516,7 @@ class TestOutputPins:
                             "--replicates", "2000", "--seed", "5")
         assert rc == 0
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "7b52ff2d4bab9ff764c2045024bad1568237f7649fb98b8ea2a9824666f63f09")
+            "6c686f21e369bc89f7d1307933827205aabd7d82da7601bede0ce4926ce64486")
 
     def test_oracle_multi_chunk(self, tmp_path, capsys):
         """An in-stub surplus (3 > 2) and an odd undirected total (5):
@@ -522,33 +529,38 @@ class TestOutputPins:
                             "--replicates", "40000", "--seed", "6")
         assert rc == 0
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "dcd4ef19c1ec0459e0965a7f03c40141499c0c8baaecd5267d528e5670d9c07b")
+            "ead33d55d6c1f874d4c21ffe86ed3d6a70878858d78117765bb1baaf72ed2a0a")
 
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded_modules():
+    return {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            "pool": "concurrent.futures.process" in sys.modules}
 
 import pdcm, pdcm.cli
-loaded = {"import": scipy_modules()}
+loaded = {"import": loaded_modules()}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = pdcm.cli.main(argv)
-    loaded[name] = scipy_modules() if rc == 0 else f"exit {rc}"
+    loaded[name] = loaded_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(loaded))
 """
 
 
 def test_only_components_loads_scipy_sparse(tmp_path):
     """Importing pdcm loads no scipy module, and of the subcommands only
-    components loads scipy.sparse.  A fresh interpreter runs them in
-    turn, because this test process has imported scipy already."""
+    components loads scipy.sparse.  Neither the import nor a subcommand
+    without a worker pool loads concurrent.futures.process.  A fresh
+    interpreter runs the subcommands in turn, because this test process
+    has imported both already."""
     (tmp_path / "atom.txt").write_text("0 0 1\n1 1 0\n")
     (tmp_path / "edges.txt").write_text("7 3\n3 7\n3 9\n")
     (tmp_path / "tri.txt").write_text("1 1 0\n1 1 0\n1 1 0\n")
     gen = ("--n", "20", "--seed", "1", "--report", str(tmp_path / "r.json"))
+    grid = ("experiment", "--model", "poisson", "--sizes", "20", "--replicates", "2",
+            "--seed", "1", "--quiet")
     commands = [
         ("generate-poisson", ["generate", "--model", "poisson", *gen,
                               "--output", str(tmp_path / "g.pdgraph")]),
@@ -557,24 +569,27 @@ def test_only_components_loads_scipy_sparse(tmp_path):
                                 "--output", str(tmp_path / "e.pdgraph")]),
         ("ingest", ["ingest", "--input", str(tmp_path / "edges.txt"),
                     "--output", str(tmp_path / "i.pdgraph")]),
-        ("experiment", ["experiment", "--model", "poisson", "--sizes", "20",
-                        "--replicates", "2", "--seed", "1", "--quiet",
-                        "--output", str(tmp_path / "m.csv")]),
+        ("experiment", [*grid, "--output", str(tmp_path / "m.csv")]),
         ("oracle", ["oracle", "--spec", str(tmp_path / "tri.txt"),
                     "--replicates", "100", "--seed", "1"]),
         ("components", ["components", "--input", str(tmp_path / "g.pdgraph")]),
+        ("experiment-pool", [*grid, "--jobs", "2", "--output", str(tmp_path / "p.csv")]),
     ]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(commands)], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded["import"] == []
+    assert loaded["import"] == {"scipy": [], "pool": False}
     for name, _ in commands[:-1]:
-        assert isinstance(loaded[name], list), (name, loaded[name])
-        assert "scipy.sparse" not in loaded[name], name
-    # positive control: the probe does see scipy once components runs
-    assert "scipy.sparse.csgraph" in loaded["components"]
+        assert isinstance(loaded[name], dict), (name, loaded[name])
+        assert not loaded[name]["pool"], name
+    for name, _ in commands[:-2]:
+        assert "scipy.sparse" not in loaded[name]["scipy"], name
+    # positive controls: the probe does see scipy once components runs,
+    # and the pool module once an experiment runs with --jobs 2
+    assert "scipy.sparse.csgraph" in loaded["components"]["scipy"]
+    assert loaded["experiment-pool"]["pool"]
 
 
 def test_unknown_subcommand_is_usage_error():

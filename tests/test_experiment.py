@@ -275,7 +275,8 @@ class TestRunExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("pdcm.experiment.ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool class when it needs a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         config = small_config(tmp_path, jobs=8)
         run_experiment(small_config(tmp_path, replicates=2))
         assert run_experiment(config) == (2, 4)

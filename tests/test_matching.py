@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import multigraph, multigraph_pairs
-from pdcm import matching
 from pdcm.degrees import MAX_VERTICES, DegreeSequence, check_vertex_count
 from pdcm.matching import match_stubs, match_stubs_union
+from pdcm.rng import make_generator
 from pdcm.simplify import simplify
 
 triples_strategy = st.lists(
@@ -103,7 +103,7 @@ def test_matching_leaves_no_state_on_the_sequence():
     sequence, where they would live as long as its graph."""
     seq = seq_of([(2, 1, 3), (0, 2, 1), (1, 0, 2), (1, 1, 0)])
     match_stubs(seq, seed=1)
-    match_stubs_union(seq, [2, 3])
+    match_stubs_union(seq, 2, make_generator(2), make_generator(3))
     assert set(vars(seq)) == {"triples"}
 
 
@@ -125,7 +125,8 @@ def test_vertex_count_limit_boundary():
         check_vertex_count(2**31 + 1)
     # the union is refused on its vertex count before any stub is drawn
     with pytest.raises(ValueError, match="limit"):
-        match_stubs_union(seq_of([(1, 1, 0)] * 3), range(2**30))
+        match_stubs_union(seq_of([(1, 1, 0)] * 3), 2**30, make_generator(0),
+                          make_generator(1))
 
 
 def test_bijection_uniformity_chi_square():
@@ -210,18 +211,19 @@ def test_from_edges_derives_matching_degrees():
 
 
 def test_union_blocks_are_the_separate_matchings():
-    """Block j of the union is match_stubs(seq, seeds[j]) shifted by j*n,
-    and the union's unmatched stubs are reps times one matching's."""
+    """Block j of a union is, shifted by j*n, what the j-th of a run of
+    one-replicate unions on the same two streams draws, and the union's
+    unmatched stubs are reps times one matching's."""
     seq = seq_of([(2, 1, 1), (1, 0, 2), (1, 1, 0), (0, 0, 1)])
-    seeds = [3, 17, 99, 2**63 + 5]
-    n, reps = seq.n, len(seeds)
-    mg = match_stubs_union(seq, seeds)
+    n, reps = seq.n, 4
+    mg = match_stubs_union(seq, reps, make_generator(3), make_generator(2**63 + 5))
     assert mg.n == reps * n
     leftovers = (mg.leftover_und, mg.leftover_in, mg.leftover_out)
     arcs = arcs_of(mg).reshape(reps, -1, 2).astype(np.int64)
     unds = und_edges_of(mg).reshape(reps, -1, 2).astype(np.int64)
-    for j, seed in enumerate(seeds):
-        one = match_stubs(seq, seed)
+    und_rng, drawn_rng = make_generator(3), make_generator(2**63 + 5)
+    for j in range(reps):
+        one = match_stubs_union(seq, 1, und_rng, drawn_rng)
         assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
         assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()
     assert leftovers == (reps * one.leftover_und, reps * one.leftover_in,
@@ -232,47 +234,22 @@ def test_union_blocks_are_the_separate_matchings():
 @given(triples_strategy,
        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
 def test_one_matching_body(rows, seeds):
-    """match_stubs(seq, s) is match_stubs_union(seq, [s]) array for array,
-    and the erasure report of a union is the field-wise sum of the reports
-    of its seeds' separate matchings."""
+    """match_stubs(seq, s) is match_stubs_union(seq, 1, g, g) for g =
+    make_generator(s), array for array, and the erasure report of a union
+    is the field-wise sum of the reports of its blocks' separate
+    matchings."""
     seq = seq_of(rows)
-    one, union = match_stubs(seq, seeds[0]), match_stubs_union(seq, seeds[:1])
+    rng = make_generator(seeds[0])
+    one, union = match_stubs(seq, seeds[0]), match_stubs_union(seq, 1, rng, rng)
     assert (one.n, one.source_degrees) == (union.n, union.source_degrees)
     for name in ("arc_codes", "und_codes"):
         a, b = getattr(one, name), getattr(union, name)
         assert a.dtype == b.dtype == np.int64
         assert a.tolist() == b.tolist()
-    reports = [simplify(match_stubs(seq, s))[1].as_dict() for s in seeds]
-    _, report = simplify(match_stubs_union(seq, seeds))
+    und_rng, drawn_rng = make_generator(seeds[0]), make_generator(seeds[-1])
+    reports = [simplify(match_stubs_union(seq, 1, und_rng, drawn_rng))[1].as_dict()
+               for _ in seeds]
+    _, report = simplify(match_stubs_union(seq, len(seeds), make_generator(seeds[0]),
+                                           make_generator(seeds[-1])))
     assert report.as_dict() == {
         key: sum(r[key] for r in reports) for key in reports[0]}
-
-
-# stub counts around the powers of two, where random_interval's mask grows
-STUB_COUNTS = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
-
-
-def spread(total, n):
-    """``total`` stubs dealt round-robin over ``n`` vertices."""
-    return [total // n + (v < total % n) for v in range(n)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6), st.sampled_from(STUB_COUNTS), st.sampled_from(STUB_COUNTS),
-       st.sampled_from(STUB_COUNTS),
-       st.lists(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-                min_size=1, max_size=6))
-def test_union_equals_per_seed_matchings_on_both_sides_of_the_crossover(
-        n, s_in, s_out, s_und, seeds):
-    """match_stubs_union draws what match_stubs draws per seed, whether the
-    chunk is shuffled in lockstep or one generator per replicate."""
-    seq = seq_of(list(zip(spread(s_in, n), spread(s_out, n), spread(s_und, n))))
-    singles = [match_stubs(seq, s) for s in seeds]
-    for limit in (-1, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matching, "LOCKSTEP_POSITIONS", limit)
-            union = match_stubs_union(seq, seeds)
-        arcs, unds = (pairs.reshape(len(seeds), -1, 2) for pairs in multigraph_pairs(union))
-        for j, one in enumerate(singles):
-            assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
-            assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()

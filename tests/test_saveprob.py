@@ -25,7 +25,7 @@ from _oracles import (
 )
 from pdcm import matching, saveprob
 from pdcm.degrees import DegreeSequence
-from pdcm.rng import derive_seed
+from pdcm.rng import derive_seed, make_generator
 from pdcm.saveprob import (
     exact_save_probability,
     monte_carlo_save_frequency,
@@ -188,16 +188,24 @@ class TestMonteCarlo:
         assert (monte_carlo_save_frequency(spec, 3001, seed=8)
                 == monte_carlo_reference(spec, 3001, seed=8))
 
-    def test_no_generator_built_per_replicate(self, monkeypatch):
-        """The union path seeds a chunk's generators from one batched
-        hash, never through the per-seed make_generator."""
-        expected = monte_carlo_reference(STREAM_SPECS[3], 500, seed=3)
+    @pytest.mark.parametrize("replicates, budget", [
+        (1, saveprob._UNION_BUDGET), (500, saveprob._UNION_BUDGET), (101, 64), (30, 1)])
+    def test_two_generators_per_run(self, replicates, budget, monkeypatch):
+        """A run builds its two generators once, on derive_seed(seed, 0)
+        and derive_seed(seed, 1), whatever its replicate and chunk counts."""
+        spec = STREAM_SPECS[3]
+        expected = monte_carlo_reference(spec, replicates, seed=3)
+        built = []
 
-        def refuse(seed):
-            raise AssertionError("make_generator called per replicate")
+        def counted(seed):
+            built.append(seed)
+            return make_generator(seed)
 
-        monkeypatch.setattr(matching, "make_generator", refuse)
-        assert monte_carlo_save_frequency(STREAM_SPECS[3], 500, seed=3) == expected
+        monkeypatch.setattr(saveprob, "_UNION_BUDGET", budget)
+        for module in (saveprob, matching):
+            monkeypatch.setattr(module, "make_generator", counted)
+        assert monte_carlo_save_frequency(spec, replicates, seed=3) == expected
+        assert built == [derive_seed(3, 0), derive_seed(3, 1)]
 
     def test_three_vertex_frequency_within_three_sigma(self):
         spec = S((1, 1, 0), (1, 1, 0), (1, 1, 0))

@@ -5,15 +5,41 @@ Undirected edges are two-way connections, so for the reachability view each
 {u, v} contributes both arcs (u, v) and (v, u); this expansion lives only
 inside the adjacency construction here, never in SimpleGraph itself.
 
-The decomposition is delegated to scipy's compiled, iterative
-connected_components (connection="strong"): pure-Python Tarjan either
-recurses past the stack limit or crawls at millions of vertices, and the
-brute-force reachability oracle in the test suite keeps the dependency
-honest on small instances.  Its int32 CSR structure is built here with
-numpy, and the graph is dropped, before scipy is imported: scipy.sparse
-alone takes about 21 MB, and a COO build held the graph, its int32 row and
-column copies and the conversion's arrays beside it.  So only runs that
-decompose a graph load scipy, and they load it once the edges are gone.
+The decomposition runs on the int32 CSR structure of that view, which is
+built once the graph can be dropped, in three steps:
+
+1. Trim.  A vertex with no out-entry or no in-entry is its own component.
+2. Pivot search, the first step of a forward-backward decomposition
+   (Fleischer, Hendrickson & Pinar 2000; Slota, Rajamanickam & Madduri
+   2014).  From the open vertex of largest out-degree, a forward reach
+   pushes along the rows of each level's new vertices.  A backward reach
+   pulls, on those rows as the push reads them and then in rounds over
+   the rest of the forward set: a vertex joins when one of its own row's
+   entries already has.  What the pull gathers is the pivot's component.
+   On a supercritical small-world graph, such as the configuration-model
+   and SNAP graphs of the benchmark, that is the giant, found in a few
+   vectorised levels, and little is left open.
+3. What is left open goes to an iterative Tarjan when it is small: at
+   most _TARJAN_MAX open vertices plus their entries, at a few
+   microseconds each in pure Python.  A larger remainder goes to scipy's
+   compiled decomposition of the whole structure, imported only then.
+   Subcritical and near-critical graphs, whose many small components the
+   pivot search does not take, usually leave such a remainder, as does a
+   long cycle or path on which a reach was cut off.
+
+Each reach stops after _LEVELS levels or rounds.  One that has not
+finished by then leaves every open vertex to step 3, so a long cycle or
+path costs at most _LEVELS numpy passes before it, not a pass per level of
+its length.  The reaches select rows in windows of _WINDOW vertices, read
+them in runs of at most _BLOCK rows and their entries in steps of _STEP,
+so beside the int32 labels they hold three byte arrays per vertex and
+bounded work, and nothing per entry; Tarjan holds up to about 400 bytes
+per vertex, hence its cap.  Labels are renumbered 0..k-1
+at the end.
+
+scipy is kept off the common path because loading scipy.sparse costs a
+process about half a CPU second, more than the numpy steps take at 10^5
+vertices.
 """
 from __future__ import annotations
 
@@ -24,6 +50,13 @@ import numpy as np
 
 from .matching import decode, encode
 from .simplify import _CHUNK, SimpleGraph
+
+MAX_ENTRIES = 2**31 - 1  # the int32 CSR's entry limit
+_LEVELS = 64  # levels or rounds of a reach before it leaves every open vertex
+_BLOCK = 1 << 13  # rows per run of a reach, and per block of Tarjan's roots
+_WINDOW = 1 << 16  # vertices per selection of a reach
+_STEP = 1 << 14  # entries per step of a reach
+_TARJAN_MAX = 1 << 16  # open vertices plus their entries that Tarjan takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +103,9 @@ def _csr(g: SimpleGraph):
     blocks = ((g.dir_tails, g.dir_heads), (g.und_u, g.und_v), below)
     fill = np.zeros(n + 1, dtype=np.int64)  # each row's first free slot
     np.cumsum(sum(counts), out=fill[1:])
-    if fill[n] >= 2**31:
-        raise ValueError(f"{fill[n]} adjacency entries: scipy's limit is {2**31 - 1}")
+    if fill[n] > MAX_ENTRIES:
+        raise ValueError(f"{fill[n]} adjacency entries: pdcm's int32 CSR holds at most "
+                         f"{MAX_ENTRIES}")
     indptr, indices = fill.astype(np.int32), np.empty(fill[n], dtype=np.int32)
     for count, (rows, cols) in zip(counts, blocks):
         shift = fill[:-1] - (np.cumsum(count) - count)
@@ -83,8 +117,41 @@ def _csr(g: SimpleGraph):
 
 
 def _labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Component id per row of the CSR structure, wrapped without a copy:
-    the float64 weights are one zero-stride 1.0, so astype copies nothing."""
+    """Component id per row of the CSR structure: 0..k-1 in int32."""
+    labels = np.arange(n, dtype=np.int32)
+    is_open = np.zeros(n, dtype=bool)
+    for i in range(0, indices.size, _STEP):
+        is_open[indices[i:i + _STEP].astype(np.intp)] = True  # has an in-entry
+    is_open &= indptr[1:] > indptr[:-1]  # and an out-entry
+    if is_open.any():
+        degree = np.diff(indptr)
+        degree[~is_open] = -1
+        pivot = int(degree.argmax())
+        del degree
+        scc = _pivot_component(indptr, indices, is_open, pivot)
+        if scc is not None:
+            labels[scc] = pivot
+            is_open[scc] = False
+        del scc
+    if _size(indptr, is_open) > _TARJAN_MAX:
+        del labels, is_open
+        return _compiled_labels(n, indptr, indices)
+    _tarjan(indptr, indices, is_open, labels)
+    del is_open
+    return _dense(labels)
+
+
+def _size(indptr, mask) -> int:
+    """How many vertices the mask marks, plus their entries."""
+    ends, starts = (int(np.sum(ptr, where=mask, dtype=np.int64))
+                    for ptr in (indptr[1:], indptr[:-1]))
+    return np.count_nonzero(mask) + ends - starts
+
+
+def _compiled_labels(n, indptr, indices):
+    """scipy's component labels, 0..k-1 in int32, for the whole structure
+    wrapped without a copy: the float64 weights are one zero-stride 1.0,
+    so astype copies nothing."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -93,8 +160,155 @@ def _labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return connected_components(adj, directed=True, connection="strong")[1]
 
 
+def _dense(labels):
+    """labels, each a vertex id, renumbered in place to 0..k-1 in the order
+    of those ids."""
+    used = np.zeros(labels.size, dtype=bool)
+    for i in range(0, labels.size, _STEP):
+        used[labels[i:i + _STEP]] = True
+    rank = np.cumsum(used, dtype=np.int32)
+    del used
+    rank -= 1
+    for i in range(0, labels.size, _STEP):
+        labels[i:i + _STEP] = rank[labels[i:i + _STEP]]
+    return labels
+
+
+def _runs(n, select):
+    """The rows that ``select(lo, hi)`` marks among rows lo..hi-1, in runs
+    of at most _BLOCK rows.  A window of _WINDOW rows is selected at once
+    and split into blocks of _BLOCK rows only when it marks more than
+    _BLOCK, so that a sparse selection takes few steps.  A row may change
+    after its window is selected; the reads below only set marks, so
+    reading it anyway changes nothing."""
+    for lo in range(0, n, _WINDOW):
+        mask = select(lo, min(lo + _WINDOW, n))
+        if np.count_nonzero(mask) <= _BLOCK:
+            yield lo + np.flatnonzero(mask)
+            continue
+        for at in range(0, mask.size, _BLOCK):
+            yield lo + at + np.flatnonzero(mask[at:at + _BLOCK])
+
+
+def _steps(indptr, indices, select):
+    """``(rows, counts, heads)`` for the entries in the rows that
+    ``select(lo, hi)`` marks among rows lo..hi-1, a run of rows from _runs
+    at a time, in steps of at most _STEP entries: the heads of
+    ``counts[i]`` entries of ``rows[i]``, in turn.  A step reads positions
+    p..q-1 of the sequence of the run's entries.  ``select`` marks only
+    open rows, which have entries, so every count is at least 1."""
+    for rows in _runs(indptr.size - 1, select):
+        if not rows.size:
+            continue
+        starts = indptr[rows]
+        sizes = indptr[rows + 1] - starts
+        ends = np.cumsum(sizes, dtype=np.int64)  # end position of each row
+        shift = starts + sizes - ends  # slot minus position, per row
+        for p in range(0, int(ends[-1]), _STEP):
+            q = min(p + _STEP, int(ends[-1]))
+            first, last = np.searchsorted(ends, (p, q - 1), side="right")
+            part = slice(first, last + 1)
+            counts = np.minimum(ends[part], q) - np.maximum(ends[part] - sizes[part], p)
+            slots = np.repeat(shift[part], counts)
+            slots += np.arange(p, q)
+            yield rows[part], counts, indices[slots].astype(np.intp)
+
+
+def _pivot_component(indptr, indices, is_open, pivot):
+    """The pivot's component as a vertex mask, or None when a reach has
+    not finished within _LEVELS levels or rounds, or when the open
+    vertices that the forward reach missed are already more than Tarjan
+    takes, so that scipy will decompose the whole structure anyway.
+
+    The forward reach records the level at which it got each open vertex
+    and pushes along the rows of the last level's vertices.  The
+    backward reach takes only vertices of the forward set, since a vertex
+    on a path from the forward set to the pivot lies in both sets.  It
+    rides along the push, whose rows are read anyway: a row of the
+    frontier joins when one of its heads already has.  So where most edges
+    are undirected, the backward set follows the push out from the pivot,
+    and the pull rounds that finish it read few rows.  They update in
+    place, so a vertex that joins can pull others later in the same round.
+    """
+    # 0: open, not reached; k: reached at level k, the pivot's being 1; _LEVELS + 2: closed
+    forward = np.where(is_open, np.uint8(0), np.uint8(_LEVELS + 2))
+    forward[pivot] = 1
+    backward = np.zeros(is_open.size, dtype=bool)
+    backward[pivot] = True
+    for level in range(1, _LEVELS + 1):
+        grew = False
+        for rows, counts, heads in _steps(indptr, indices, lambda lo, hi: forward[lo:hi] == level):
+            _join(backward, rows, counts, heads)
+            heads = heads[forward[heads] == 0]
+            forward[heads] = level + 1
+            grew |= heads.size > 0
+        if not grew:
+            break
+    else:
+        return None
+    if _size(indptr, forward == 0) > _TARJAN_MAX:
+        return None
+    for _ in range(_LEVELS):
+        joined = np.count_nonzero(backward)
+        for rows, counts, heads in _steps(
+                indptr, indices,
+                lambda lo, hi: is_open[lo:hi] & (forward[lo:hi] != 0) & ~backward[lo:hi]):
+            _join(backward, rows, counts, heads)
+        if np.count_nonzero(backward) == joined:
+            return backward
+    return None
+
+
+def _join(backward, rows, counts, heads) -> None:
+    """Add to the backward set each row of a step with a head in it."""
+    backward[rows[np.logical_or.reduceat(backward[heads], np.cumsum(counts) - counts)]] = True
+
+
+def _tarjan(indptr, indices, is_open, labels) -> None:
+    """Label the components among the open vertices, by an iterative Tarjan
+    over their open entries; a component takes its root's id."""
+    index = {}  # discovery number, then n + 1 once the vertex is labelled
+    labelled = indptr.size
+    stack = []
+    still_open = is_open.tobytes()  # read faster one vertex at a time
+
+    def successors(v):
+        return iter([w for w in indices[indptr[v]:indptr[v + 1]].tolist() if still_open[w]])
+
+    for lo in range(0, is_open.size, _BLOCK):
+        for root in (lo + np.flatnonzero(is_open[lo:lo + _BLOCK])).tolist():
+            if root in index:
+                continue
+            index[root] = len(index)
+            # frames: vertex, its successors left, lowlink, its stack position
+            calls = [[root, successors(root), index[root], len(stack)]]
+            stack.append(root)
+            while calls:
+                frame = calls[-1]
+                for w in frame[1]:
+                    if w not in index:
+                        index[w] = len(index)
+                        calls.append([w, successors(w), index[w], len(stack)])
+                        stack.append(w)
+                        break
+                    frame[2] = min(frame[2], index[w])
+                else:
+                    calls.pop()
+                    v, _, low, at = frame
+                    if low == index[v]:
+                        members = stack[at:]
+                        del stack[at:]
+                        if len(members) > 1:
+                            labels[members] = v
+                        for w in members:
+                            index[w] = labelled
+                    elif calls:
+                        calls[-1][2] = min(calls[-1][2], low)
+
+
 def component_labels(g: SimpleGraph) -> np.ndarray:
-    """Component id per vertex, over the directed reachability view."""
+    """Component id per vertex, over the directed reachability view: 0..k-1
+    for k components, in int32."""
     csr = _csr(g)
     del g
     return _labels(*csr)

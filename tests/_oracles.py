@@ -58,6 +58,24 @@ def adjacency_reference(g):
                       shape=(g.n, g.n)).tocsr()
 
 
+def scc_reference(n, indptr, indices):
+    """Component labels of a CSR structure from scipy's compiled,
+    iterative connected_components (connection="strong"): the reference
+    partition for pdcm.components' own decomposition."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+    return connected_components(adj, directed=True, connection="strong")[1]
+
+
+def same_partition(a, b) -> bool:
+    """Whether two label arrays over the same vertices group them alike:
+    each pair of labels that occurs names one class of each."""
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
+    return len(pairs) == np.unique(a).size == np.unique(b).size
+
+
 def simple_graph(n, tails, heads, us, vs):
     """A SimpleGraph from edge columns in any order: the columns must
     align and hold ids in 0..n-1; they are encoded (undirected pairs as
@@ -561,14 +579,14 @@ def pdgraph_reference(g) -> bytes:
     return "".join(text).encode()
 
 
-def poisson_graph(n, seed=1):
-    """A Poisson(7) independent graph through the generation pipeline:
-    about 7n arcs and 3.5n undirected edges."""
+def poisson_graph(n, seed=1, lam=7):
+    """A Poisson(lam) independent graph through the generation pipeline:
+    about lam n arcs and lam n / 2 undirected edges."""
     from pdcm.degrees import JointDegreeDistribution, sample_sequence
     from pdcm.matching import match_stubs
     from pdcm.simplify import simplify
 
-    dist = JointDegreeDistribution.poisson(7, "independent")
+    dist = JointDegreeDistribution.poisson(lam, "independent")
     return simplify(match_stubs(sample_sequence(dist, n, seed), seed + 1))[0]
 
 

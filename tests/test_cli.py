@@ -9,10 +9,12 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import pdcm
+import pdcm.components
 from pdcm import saveprob
 from pdcm.cli import main
 from pdcm.ingest import read_pdgraph
@@ -296,6 +298,21 @@ class TestComponents:
         assert (tmp_path / "c.csv").read_text() == (
             "# n=0 largest_relative=nan\nsize,count\n")
 
+    def test_entry_limit(self, tmp_path, capsys):
+        """A graph with more adjacency entries than the int32 CSR holds
+        exits 1 with the limit; with the limit patched down to 2, the three
+        entries of one arc and one undirected edge cross it, and at 3 they
+        fit."""
+        p = tmp_path / "g.pdgraph"
+        p.write_text("# pdgraph n=3\nD 1 2\nU 2 3\n")
+        with mock.patch.object(pdcm.components, "MAX_ENTRIES", 2):
+            rc, stdout, err = run(capsys, "components", "--input", str(p))
+        assert (rc, stdout) == (1, "")
+        assert err == "pdcm: error: 3 adjacency entries: pdcm's int32 CSR holds at most 2\n"
+        with mock.patch.object(pdcm.components, "MAX_ENTRIES", 3):
+            rc, stdout, _ = run(capsys, "components", "--input", str(p))
+        assert rc == 0 and json.loads(stdout)["num_components"] == 2
+
 
 class TestOracle:
     def test_third_case_json(self, tmp_path, capsys):
@@ -549,12 +566,18 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_components_loads_scipy_sparse(tmp_path):
-    """Importing pdcm loads no scipy module, and of the subcommands only
-    components loads scipy.sparse.  Neither the import nor a subcommand
-    without a worker pool loads concurrent.futures.process.  A fresh
-    interpreter runs the subcommands in turn, because this test process
-    has imported both already."""
+def test_components_loads_scipy_sparse_only_for_a_large_remainder(tmp_path):
+    """Importing pdcm loads no scipy module, and no subcommand loads
+    scipy.sparse, but components on a graph whose pivot search leaves more
+    open than Tarjan takes: a directed cycle longer than the level cap and
+    than half Tarjan's cap.  Neither the import nor a subcommand without a
+    worker pool loads concurrent.futures.process.  A fresh interpreter
+    runs the subcommands in turn, because this test process has imported
+    both already."""
+    m = pdcm.components._TARJAN_MAX // 2 + 1
+    assert m > pdcm.components._LEVELS
+    (tmp_path / "cycle.pdgraph").write_text(
+        f"# pdgraph n={m}\n" + "".join(f"D {v} {v % m + 1}\n" for v in range(1, m + 1)))
     (tmp_path / "atom.txt").write_text("0 0 1\n1 1 0\n")
     (tmp_path / "edges.txt").write_text("7 3\n3 7\n3 9\n")
     (tmp_path / "tri.txt").write_text("1 1 0\n1 1 0\n1 1 0\n")
@@ -573,6 +596,9 @@ def test_only_components_loads_scipy_sparse(tmp_path):
         ("oracle", ["oracle", "--spec", str(tmp_path / "tri.txt"),
                     "--replicates", "100", "--seed", "1"]),
         ("components", ["components", "--input", str(tmp_path / "g.pdgraph")]),
+        ("generate-scale-free", ["generate", "--model", "scale_free", "--gamma", "2.5", *gen,
+                                 "--output", str(tmp_path / "s.pdgraph")]),
+        ("components-cycle", ["components", "--input", str(tmp_path / "cycle.pdgraph")]),
         ("experiment-pool", [*grid, "--jobs", "2", "--output", str(tmp_path / "p.csv")]),
     ]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
@@ -585,10 +611,13 @@ def test_only_components_loads_scipy_sparse(tmp_path):
         assert isinstance(loaded[name], dict), (name, loaded[name])
         assert not loaded[name]["pool"], name
     for name, _ in commands[:-2]:
-        assert "scipy.sparse" not in loaded[name]["scipy"], name
-    # positive controls: the probe does see scipy once components runs,
-    # and the pool module once an experiment runs with --jobs 2
-    assert "scipy.sparse.csgraph" in loaded["components"]["scipy"]
+        assert not any(m.startswith("scipy.sparse") for m in loaded[name]["scipy"]), name
+    assert loaded["components"]["scipy"] == []
+    # positive controls: the probe does see scipy once a scale-free model
+    # runs, scipy.sparse once components meets the long cycle, and the
+    # pool module once an experiment runs with --jobs 2
+    assert "scipy.special" in loaded["generate-scale-free"]["scipy"]
+    assert "scipy.sparse.csgraph" in loaded["components-cycle"]["scipy"]
     assert loaded["experiment-pool"]["pool"]
 
 

@@ -14,6 +14,8 @@ from _oracles import (
     multigraph,
     poisson_graph,
     random_simple_graph,
+    same_partition,
+    scc_reference,
     simple_graph,
     traced_peak,
     undirected_pairs,
@@ -68,13 +70,12 @@ def test_scc_memory_is_bounded():
       with their cumulative sum and one more temporary (36 per vertex
       beside the counts), and one chunk's int64 slots, ranks and rows
       (32 C).  The COO build reached 14 bytes per entry;
-    - the decomposition holds the labels and scipy's int32 work arrays,
-      at most four int32 per vertex and nothing per entry: the arrays are
-      wrapped as they are and the float64 weights are one zero-stride
-      1.0, so connected_components' astype(float64) copies nothing.  A
-      copy of the weights would add 8 bytes per entry, one of the
-      indices 4."""
-    import scipy.sparse.csgraph  # noqa: F401  # loaded untraced
+    - the decomposition holds the int32 labels, the open-vertex mask and
+      the two reaches' byte arrays (7 per vertex), and for a moment the
+      int32 out-degrees; its blocks of rows and steps of entries are of
+      fixed size, and nothing is held per entry.  Renumbering the labels
+      0..k-1 holds a byte mask, the int32 ranks and one int32 temporary
+      beside them (13 per vertex)."""
     from pdcm.simplify import _CHUNK
 
     g = poisson_graph(100_000)
@@ -90,6 +91,125 @@ def test_scc_memory_is_bounded():
     assert labels.size == n
     assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
     assert np.array_equal(labels, component_labels(g))
+
+
+def test_remainder_memory_is_bounded():
+    """What the pivot search leaves open goes to Tarjan, whose Python
+    objects (about 400 bytes per vertex on its depth-first path here) its
+    cap bounds, or to scipy, which holds its int32 work arrays and
+    nothing per entry, within the bound of test_scc_memory_is_bounded.  A
+    path of _TARJAN_MAX / 2 + 2 vertices, all on Tarjan's path but the
+    two ends, is Tarjan's worst case under the cap."""
+    import scipy.sparse.csgraph  # noqa: F401  # loaded untraced
+
+    cap = pdcm.components._TARJAN_MAX
+    ids = np.arange(cap // 2 + 2)
+    n, indptr, indices = _csr(simple_graph(ids.size, ids[:-1], ids[1:], E, E))
+    with mock.patch.object(pdcm.components, "_compiled_labels", side_effect=AssertionError):
+        _, peak = traced_peak(_labels, n, indptr, indices)
+    assert peak <= 16 * n + 256 * cap + (64 << 10), f"{peak / n:.1f} bytes per vertex"
+    n, indptr, indices = _csr(poisson_graph(100_000, lam=0.5))
+    with mock.patch.object(pdcm.components, "_tarjan", side_effect=AssertionError):
+        _, peak = traced_peak(_labels, n, indptr, indices)
+    assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
+
+
+def _decompose(g):
+    """``_labels`` on g's CSR structure, checked against scipy's partition
+    and for labels 0..k-1; returns how many vertices the Tarjan step was
+    handed, or None when scipy's decomposition took the remainder."""
+    n, indptr, indices = _csr(g)
+    handed = []
+    tarjan, compiled = pdcm.components._tarjan, pdcm.components._compiled_labels
+
+    def tarjan_spy(indptr, indices, is_open, labels):
+        handed.append(int(is_open.sum()))
+        tarjan(indptr, indices, is_open, labels)
+
+    def compiled_spy(*csr):
+        handed.append(None)
+        return compiled(*csr)
+
+    with mock.patch.multiple(pdcm.components, _tarjan=tarjan_spy, _compiled_labels=compiled_spy):
+        labels = _labels(n, indptr, indices)
+    assert labels.dtype == np.int32
+    reference = scc_reference(n, indptr, indices)
+    assert same_partition(labels, reference)
+    assert np.array_equal(np.unique(labels), np.arange(reference.max() + 1))
+    assert len(handed) == 1
+    return handed[0]
+
+
+def _union(*graphs):
+    """The disjoint union of graphs, each shifted past the ones before it."""
+    parts, at = [], 0
+    for g in graphs:
+        parts.append((g.dir_tails + at, g.dir_heads + at, g.und_u + at, g.und_v + at))
+        at += g.n
+    return simple_graph(at, *(np.concatenate(cols) for cols in zip(*parts)))
+
+
+class TestSteps:
+    """The trim, the pivot search, the Tarjan step and scipy's
+    decomposition of a large remainder, each reached on its own, against
+    scipy's partition."""
+
+    def test_long_cycle_and_path_fall_back_to_tarjan(self):
+        """Past the level cap the forward reach gives up and Tarjan takes
+        every open vertex: all of a cycle, and all of a path but the two
+        ends, which the trim takes."""
+        m = 3 * pdcm.components._LEVELS
+        ids = np.arange(m)
+        assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) == m
+        assert _decompose(simple_graph(m, ids[:-1], ids[1:], E, E)) == m - 2
+
+    def test_second_giant_goes_to_tarjan(self):
+        """Two disjoint copies of one graph: the pivot search finds one
+        copy's giant and Tarjan the other's."""
+        g = poisson_graph(2000)
+        giant = int(np.bincount(component_labels(g)).max())
+        assert giant > 1900
+        assert _decompose(_union(g, g)) >= giant
+
+    def test_pivot_in_an_out_tail(self):
+        """The open vertex of largest out-degree is a hub that the giant
+        reaches by one arc and that has undirected edges to 100 leaves of
+        its own: the pivot's component is the hub's 101 vertices, and the
+        giant goes to Tarjan."""
+        g = poisson_graph(2000)
+        labels = component_labels(g)
+        into = int(np.flatnonzero(labels == np.bincount(labels).argmax())[0])
+        hub, leaves = 2000, np.arange(2001, 2101)
+        tailed = simple_graph(2101, np.append(g.dir_tails, into), np.append(g.dir_heads, hub),
+                              np.append(g.und_u, np.full(100, hub)),
+                              np.append(g.und_v, leaves))
+        _, indptr, _ = _csr(tailed)
+        assert np.diff(indptr).argmax() == hub
+        assert _decompose(tailed) >= np.bincount(labels).max()
+
+    def test_poisson_giant_found_by_the_pivot_search(self):
+        assert _decompose(poisson_graph(100_000)) < 1000
+
+    def test_large_remainder_goes_to_scipy(self):
+        """A cycle too long for the level cap leaves all its vertices open,
+        and a subcritical graph leaves its many small components open:
+        both are more than Tarjan takes."""
+        m = pdcm.components._TARJAN_MAX
+        ids = np.arange(m)
+        assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) is None
+        assert _decompose(poisson_graph(100_000, lam=0.5)) is None
+
+    def test_tarjan_cap_boundary(self):
+        """A cycle cut off by the level cap leaves its m vertices and m
+        entries open: Tarjan takes them under a cap of 2m, scipy under one
+        of 2m - 1."""
+        m = 3 * pdcm.components._LEVELS
+        ids = np.arange(m)
+        cycle = simple_graph(m, ids, (ids + 1) % m, E, E)
+        with mock.patch.object(pdcm.components, "_TARJAN_MAX", 2 * m):
+            assert _decompose(cycle) == m
+        with mock.patch.object(pdcm.components, "_TARJAN_MAX", 2 * m - 1):
+            assert _decompose(cycle) is None
 
 
 _ENDS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=25)
@@ -161,12 +281,13 @@ def test_partition_property(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31))
 def test_matches_brute_force_closure(seed):
-    """scipy's strong components agree with an explicit reachability oracle,
+    """The strong components agree with an explicit reachability oracle,
     down to which vertices share a component."""
     g = random_simple_graph(np.random.default_rng(seed))
     cs = strongly_connected_components(g)
     assert cs.sizes.tolist() == brute_scc_sizes(g)
     labels = component_labels(g)
+    assert np.array_equal(np.unique(labels), np.arange(cs.num_components))
     by_label = {}
     for v, lab in enumerate(labels.tolist()):
         by_label.setdefault(lab, set()).add(v)

@@ -7,11 +7,7 @@ brings external edge lists into the same representation; experiment and
 cli wire everything into reproducible runs.
 """
 
-from .components import (
-    ComponentSummary,
-    component_labels,
-    strongly_connected_components,
-)
+from .components import ComponentSummary, strongly_connected_components
 from .degrees import (
     DegreeSequence,
     JointDegreeDistribution,

@@ -17,18 +17,15 @@ import json
 import sys
 
 from .components import strongly_connected_components, write_component_csv
-from .degrees import COUPLINGS, MODELS, sample_sequence
+from .degrees import COUPLINGS, MODELS
 from .experiment import (CONFIG_KEYS, _checked, config_from_mapping, parse_config_file,
-                         run_experiment)
+                         run_experiment, sample_graph)
 from .ingest import ingest_path, read_pdgraph, write_pdgraph
-from .matching import match_stubs
-from .rng import derive_seed
 from .saveprob import (
     exact_save_probability,
     monte_carlo_save_frequency,
     parse_save_spec,
 )
-from .simplify import simplify
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -51,8 +48,7 @@ def _settings(args) -> dict:
 
 def cmd_generate(args) -> int:
     dist = config_from_mapping(_settings(args)).distribution()
-    seq = sample_sequence(dist, args.n, derive_seed(args.seed, 0))
-    g, report = simplify(match_stubs(seq, derive_seed(args.seed, 1)))
+    g, report = sample_graph(dist, args.n, args.seed)
     write_pdgraph(g, args.output)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")

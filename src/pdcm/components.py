@@ -6,7 +6,7 @@ Undirected edges are two-way connections, so for the reachability view each
 inside the adjacency construction here, never in SimpleGraph itself.
 
 The decomposition runs on the int32 CSR structure of that view, which is
-built once the graph can be dropped, in three steps:
+built once the graph can be dropped, in up to four steps:
 
 1. Trim.  A vertex with no out-entry or no in-entry is its own component.
 2. Pivot search, the first step of a forward-backward decomposition
@@ -19,27 +19,29 @@ built once the graph can be dropped, in three steps:
    On a supercritical small-world graph, such as the configuration-model
    and SNAP graphs of the benchmark, that is the giant, found in a few
    vectorised levels, and little is left open.
-3. What is left open goes to an iterative Tarjan when it is small: at
-   most _TARJAN_MAX open vertices plus their entries, at a few
-   microseconds each in pure Python.  A larger remainder goes to scipy's
-   compiled decomposition of the whole structure, imported only then.
-   Subcritical and near-critical graphs, whose many small components the
-   pivot search does not take, usually leave such a remainder, as does a
-   long cycle or path on which a reach was cut off.
+3. Colouring, Multistep's next step.  Each open vertex takes the largest
+   id among the open vertices that reach it; one that kept its own id is
+   a root, whose component is the vertices of its colour that reach it.
+   Rounds of this label what the pivot search left open.
+4. scipy's compiled decomposition of the whole structure, imported only
+   when a reach or the rounds are cut off, as on a long cycle or path or
+   on Poisson(0.6), whose giant is more than _LEVELS levels across; or
+   when the pivot's component is no larger than what it leaves open, as
+   on subcritical graphs (31-49 % of the vertices stay open at
+   Poisson(0.5) and below).
 
-Each reach stops after _LEVELS levels or rounds.  One that has not
-finished by then leaves every open vertex to step 3, so a long cycle or
-path costs at most _LEVELS numpy passes before it, not a pass per level of
-its length.  The reaches select rows in windows of _WINDOW vertices, read
-them in runs of at most _BLOCK rows and their entries in steps of _STEP,
-so beside the int32 labels they hold three byte arrays per vertex and
-bounded work, and nothing per entry; Tarjan holds up to about 400 bytes
-per vertex, hence its cap.  Labels are renumbered 0..k-1
-at the end.
+Each reach, and the colouring, stops after _LEVELS levels or rounds, so
+a long cycle or path costs at most _LEVELS numpy passes before step 4.
+The reaches select rows in windows of _WINDOW vertices, read them in runs
+of at most _BLOCK rows and their entries in steps of _STEP, so beside the
+int32 labels they hold three byte arrays per vertex and bounded work, and
+nothing per entry.  Labels are renumbered 0..k-1 at the end.
 
 scipy is kept off the common path because loading scipy.sparse costs a
 process about half a CPU second, more than the numpy steps take at 10^5
-vertices.
+vertices.  At n = 10^6 the pivot search leaves 103,637 vertices of a
+Poisson(1) graph and 2,800 of a Poisson(2) one to five and three
+colouring rounds.
 """
 from __future__ import annotations
 
@@ -52,11 +54,10 @@ from .matching import decode, encode
 from .simplify import _CHUNK, SimpleGraph
 
 MAX_ENTRIES = 2**31 - 1  # the int32 CSR's entry limit
-_LEVELS = 64  # levels or rounds of a reach before it leaves every open vertex
-_BLOCK = 1 << 13  # rows per run of a reach, and per block of Tarjan's roots
+_LEVELS = 64  # levels or rounds of a reach, or colouring rounds, before scipy
+_BLOCK = 1 << 13  # rows per run of a reach
 _WINDOW = 1 << 16  # vertices per selection of a reach
 _STEP = 1 << 14  # entries per step of a reach
-_TARJAN_MAX = 1 << 16  # open vertices plus their entries that Tarjan takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,23 +130,21 @@ def _labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         pivot = int(degree.argmax())
         del degree
         scc = _pivot_component(indptr, indices, is_open, pivot)
-        if scc is not None:
-            labels[scc] = pivot
-            is_open[scc] = False
+        # a pivot component no larger than what it leaves open is not a giant
+        if scc is None or 2 * np.count_nonzero(scc) <= np.count_nonzero(is_open):
+            del labels, is_open, scc
+            return _compiled_labels(n, indptr, indices)
+        labels[scc] = pivot
+        is_open[scc] = False
         del scc
-    if _size(indptr, is_open) > _TARJAN_MAX:
+    for _ in range(_LEVELS):
+        if not is_open.any() or not _colour_round(indptr, indices, is_open, labels):
+            break
+    if is_open.any():  # a reach, or the rounds, cut off
         del labels, is_open
         return _compiled_labels(n, indptr, indices)
-    _tarjan(indptr, indices, is_open, labels)
     del is_open
     return _dense(labels)
-
-
-def _size(indptr, mask) -> int:
-    """How many vertices the mask marks, plus their entries."""
-    ends, starts = (int(np.sum(ptr, where=mask, dtype=np.int64))
-                    for ptr in (indptr[1:], indptr[:-1]))
-    return np.count_nonzero(mask) + ends - starts
 
 
 def _compiled_labels(n, indptr, indices):
@@ -216,9 +215,8 @@ def _steps(indptr, indices, select):
 
 def _pivot_component(indptr, indices, is_open, pivot):
     """The pivot's component as a vertex mask, or None when a reach has
-    not finished within _LEVELS levels or rounds, or when the open
-    vertices that the forward reach missed are already more than Tarjan
-    takes, so that scipy will decompose the whole structure anyway.
+    not finished within _LEVELS levels or rounds.  On a subcritical graph
+    it is small, and _labels then hands the whole structure to scipy.
 
     The forward reach records the level at which it got each open vertex
     and pushes along the rows of the last level's vertices.  The
@@ -246,8 +244,6 @@ def _pivot_component(indptr, indices, is_open, pivot):
             break
     else:
         return None
-    if _size(indptr, forward == 0) > _TARJAN_MAX:
-        return None
     for _ in range(_LEVELS):
         joined = np.count_nonzero(backward)
         for rows, counts, heads in _steps(
@@ -264,54 +260,51 @@ def _join(backward, rows, counts, heads) -> None:
     backward[rows[np.logical_or.reduceat(backward[heads], np.cumsum(counts) - counts)]] = True
 
 
-def _tarjan(indptr, indices, is_open, labels) -> None:
-    """Label the components among the open vertices, by an iterative Tarjan
-    over their open entries; a component takes its root's id."""
-    index = {}  # discovery number, then n + 1 once the vertex is labelled
-    labelled = indptr.size
-    stack = []
-    still_open = is_open.tobytes()  # read faster one vertex at a time
+def _colour_round(indptr, indices, is_open, labels) -> bool:
+    """Label some components among the open vertices, whose labels are
+    their own ids, by one round of Multistep's colouring; False when a
+    reach has not finished within _LEVELS levels or rounds.
 
-    def successors(v):
-        return iter([w for w in indices[indptr[v]:indptr[v + 1]].tolist() if still_open[w]])
-
-    for lo in range(0, is_open.size, _BLOCK):
-        for root in (lo + np.flatnonzero(is_open[lo:lo + _BLOCK])).tolist():
-            if root in index:
-                continue
-            index[root] = len(index)
-            # frames: vertex, its successors left, lowlink, its stack position
-            calls = [[root, successors(root), index[root], len(stack)]]
-            stack.append(root)
-            while calls:
-                frame = calls[-1]
-                for w in frame[1]:
-                    if w not in index:
-                        index[w] = len(index)
-                        calls.append([w, successors(w), index[w], len(stack)])
-                        stack.append(w)
-                        break
-                    frame[2] = min(frame[2], index[w])
-                else:
-                    calls.pop()
-                    v, _, low, at = frame
-                    if low == index[v]:
-                        members = stack[at:]
-                        del stack[at:]
-                        if len(members) > 1:
-                            labels[members] = v
-                        for w in members:
-                            index[w] = labelled
-                    elif calls:
-                        calls[-1][2] = min(calls[-1][2], low)
-
-
-def component_labels(g: SimpleGraph) -> np.ndarray:
-    """Component id per vertex, over the directed reachability view: 0..k-1
-    for k components, in int32."""
-    csr = _csr(g)
-    del g
-    return _labels(*csr)
+    The forward reach raises each label to the largest id among the open
+    vertices that reach it, pushing along the rows whose label rose at the
+    last level.  The backward reach pulls, from each vertex that kept its
+    own id, the vertices of its colour that reach it: its component, which
+    closes with that colour as its label.  The rest take their ids back.
+    """
+    # 0: still; k: label rose at level k - 1, every open vertex counting at level 1
+    moved = is_open.astype(np.uint8)
+    for level in range(1, _LEVELS + 1):
+        grew = False
+        for rows, counts, heads in _steps(indptr, indices, lambda lo, hi: moved[lo:hi] == level):
+            colours = np.repeat(labels[rows], counts)
+            rises = is_open[heads] & (labels[heads] < colours)
+            heads = heads[rises]
+            np.maximum.at(labels, heads, colours[rises])
+            moved[heads] = level + 1
+            grew |= heads.size > 0
+        if not grew:
+            break
+    else:
+        return False
+    del moved
+    joined = np.zeros(is_open.size, dtype=bool)
+    for ids in _runs(is_open.size, lambda lo, hi: is_open[lo:hi]):
+        joined[ids[labels[ids] == ids]] = True
+    for _ in range(_LEVELS):
+        count = np.count_nonzero(joined)
+        for rows, counts, heads in _steps(indptr, indices,
+                                          lambda lo, hi: is_open[lo:hi] & ~joined[lo:hi]):
+            same = joined[heads] & (labels[heads] == np.repeat(labels[rows], counts))
+            joined[rows[np.logical_or.reduceat(same, np.cumsum(counts) - counts)]] = True
+        if np.count_nonzero(joined) == count:
+            break
+    else:
+        return False
+    is_open &= ~joined
+    del joined
+    for ids in _runs(is_open.size, lambda lo, hi: is_open[lo:hi]):
+        labels[ids] = ids
+    return True
 
 
 def strongly_connected_components(g: SimpleGraph) -> ComponentSummary:

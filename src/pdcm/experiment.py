@@ -85,14 +85,6 @@ class ExperimentConfig:
             load_degree_file(self.degrees), self.coupling
         )
 
-    def model_label(self) -> str:
-        """The string written to the CSV model column."""
-        if self.model == "poisson":
-            return f"poisson({self.lam:g})"
-        if self.model == "scale_free":
-            return f"scale_free({self.gamma:g})"
-        return "empirical"
-
     def cell_seed(self, size_index: int, replicate: int) -> int:
         return replicate_seed(self.seed, size_index, replicate)
 
@@ -101,6 +93,21 @@ class ExperimentConfig:
         for s, n in enumerate(self.sizes):
             for r in range(self.replicates):
                 yield n, self.cell_seed(s, r)
+
+
+def model_label(dist: JointDegreeDistribution) -> str:
+    """The string written to the CSV model column.  An empirical law is
+    named by the first 12 hex digits of the sha256 of its int64 triples in
+    file order, so that resume can tell two degree files apart."""
+    if dist.kind == "poisson":
+        return f"poisson({dist.lam:g})"
+    if dist.kind == "scale_free":
+        return f"scale_free({dist.gamma:g})"
+    # imported here: hashlib loads OpenSSL, about 3.6 MB of every process's peak
+    import hashlib
+
+    rows = dist.triples.astype("<i8", copy=False).tobytes()
+    return f"empirical:{hashlib.sha256(rows).hexdigest()[:12]}"
 
 
 def _checked(key: str, value):
@@ -171,13 +178,20 @@ def config_from_mapping(mapping) -> ExperimentConfig:
                                for key, value in mapping.items()})
 
 
-def run_cell(dist: JointDegreeDistribution, model_label: str, n: int,
+def sample_graph(dist: JointDegreeDistribution, n: int, seed: int):
+    """``(SimpleGraph, ErasureReport)``: sample n degree triples of the law,
+    match their stubs and simplify, the first two on the streams
+    derive_seed(seed, 0) and derive_seed(seed, 1)."""
+    seq = sample_sequence(dist, n, derive_seed(seed, 0))
+    return simplify(match_stubs(seq, derive_seed(seed, 1)))
+
+
+def run_cell(dist: JointDegreeDistribution, label: str, n: int,
              cell_seed: int) -> dict:
-    """One replicate: sample degrees, match stubs, simplify, measure."""
-    seq = sample_sequence(dist, n, derive_seed(cell_seed, 0))
-    g, report = simplify(match_stubs(seq, derive_seed(cell_seed, 1)))
+    """One replicate: sample a graph and measure it."""
+    g, report = sample_graph(dist, n, cell_seed)
     row = {
-        "model": model_label,
+        "model": label,
         "coupling": dist.coupling,
         "n": n,
         "seed": cell_seed,
@@ -250,7 +264,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
     with one progress line per computed cell.
     """
     dist = config.distribution()
-    label = config.model_label()
+    label = model_label(dist)
     completed = _read_completed(config.output, label, config.coupling)
     grid = list(config.grid())
     pending = [cell for cell in grid if cell not in completed]

@@ -252,6 +252,23 @@ class TestExperiment:
         assert f"{out}: line 2: existing row is for poisson(5) independent" in err
         assert out.read_bytes() == before
 
+    def test_resume_with_another_degree_file_is_runtime_error(self, tmp_path, capsys):
+        """Two empirical laws of one coupling differ in their model label,
+        the digest of their triples, so a run on another degree file is
+        refused rather than resumed into another law's rows."""
+        out, other = tmp_path / "m.csv", tmp_path / "other.txt"
+        other.write_text("1 1 0\n0 0 2\n")
+        grid = ("--model", "empirical", "--coupling", "dependent", "--sizes", "30",
+                "--replicates", "2", "--seed", "4", "--output", str(out), "--quiet")
+        rc, _, _ = run(capsys, "experiment", "--degrees", "data/degrees_10k.txt", *grid)
+        assert rc == 0
+        before = out.read_bytes()
+        label = out.read_text().splitlines()[1].split(",")[0]
+        rc, stdout, err = run(capsys, "experiment", "--degrees", str(other), *grid)
+        assert rc == 1 and "cells computed" not in stdout
+        assert f"{out}: line 2: existing row is for {label} dependent, not empirical:" in err
+        assert out.read_bytes() == before
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "experiment", "--model", "poisson",
                          "--sizes", "20", "--replicates", "1", "--seed", "1",
@@ -469,8 +486,9 @@ class TestOutputPins:
     versions of the code (generate and ingest before the sorted pair-code
     kernel, experiment and oracle before the readers and the direction
     share were merged, the oracle when its replicates moved to two
-    streams); any change to a random stream, a rule or the file layout
-    moves them."""
+    streams, the empirical experiments when the model label took the
+    digest of the triples); any change to a random stream, a rule or the
+    file layout moves them."""
 
     @staticmethod
     def digest(path):
@@ -501,7 +519,7 @@ class TestOutputPins:
     @pytest.mark.parametrize("flags,csv_sha", [
         (("--model", "empirical", "--degrees", "data/degrees_10k.txt",
           "--coupling", "dependent", "--sizes", "50,200", "--seed", "3"),
-         "1851aa939d79efe3e98be5767da32d039162a81493a335275d045f8fb7d045c9"),
+         "058a9ab9a69ba4510c3453de402b8d21041096ea68c90eaa3e5f265abb2b64ae"),
         (("--model", "poisson", "--lambda", "5", "--coupling", "independent",
           "--sizes", "30,60", "--seed", "4"),
          "1e0a88ea5a70db736a44f486e71fd9880251395ba95cf12e21265039c969fe89"),
@@ -524,7 +542,7 @@ class TestOutputPins:
         assert rc == 0
         assert out.read_text().splitlines()[1].endswith(",nan")
         assert self.digest(out) == (
-            "cc2d4acb66cf1447587a0053e2b00eee1b2ef994bdcba86da6afbae1445a9e8d")
+            "2261cb57d85c95fa3293fa6d0f65ee968567eb5b114002a42c32b2b1e78aa493")
 
     def test_oracle(self, tmp_path, capsys):
         spec = tmp_path / "tri.txt"
@@ -566,16 +584,17 @@ print(json.dumps(loaded))
 """
 
 
-def test_components_loads_scipy_sparse_only_for_a_large_remainder(tmp_path):
+def test_components_loads_scipy_sparse_only_without_a_giant_or_on_a_cut_off(tmp_path):
     """Importing pdcm loads no scipy module, and no subcommand loads
-    scipy.sparse, but components on a graph whose pivot search leaves more
-    open than Tarjan takes: a directed cycle longer than the level cap and
-    than half Tarjan's cap.  Neither the import nor a subcommand without a
-    worker pool loads concurrent.futures.process.  A fresh interpreter
-    runs the subcommands in turn, because this test process has imported
-    both already."""
-    m = pdcm.components._TARJAN_MAX // 2 + 1
-    assert m > pdcm.components._LEVELS
+    scipy.sparse, but components on a directed cycle longer than the level
+    cap, which cuts off the pivot search.  A Poisson(1) graph of 300,000
+    vertices, whose pivot search leaves 31,957 vertices and 51,865
+    entries open (scipy's share before the colouring), is labelled in
+    numpy.  Neither the import nor a subcommand without a worker pool
+    loads concurrent.futures.process.  A fresh interpreter runs the
+    subcommands in turn, because this test process has imported both
+    already."""
+    m = 3 * pdcm.components._LEVELS
     (tmp_path / "cycle.pdgraph").write_text(
         f"# pdgraph n={m}\n" + "".join(f"D {v} {v % m + 1}\n" for v in range(1, m + 1)))
     (tmp_path / "atom.txt").write_text("0 0 1\n1 1 0\n")
@@ -596,6 +615,11 @@ def test_components_loads_scipy_sparse_only_for_a_large_remainder(tmp_path):
         ("oracle", ["oracle", "--spec", str(tmp_path / "tri.txt"),
                     "--replicates", "100", "--seed", "1"]),
         ("components", ["components", "--input", str(tmp_path / "g.pdgraph")]),
+        ("generate-poisson-1", ["generate", "--model", "poisson", "--lambda", "1",
+                                "--n", "300000", "--seed", "1",
+                                "--report", str(tmp_path / "r.json"),
+                                "--output", str(tmp_path / "p1.pdgraph")]),
+        ("components-poisson-1", ["components", "--input", str(tmp_path / "p1.pdgraph")]),
         ("generate-scale-free", ["generate", "--model", "scale_free", "--gamma", "2.5", *gen,
                                  "--output", str(tmp_path / "s.pdgraph")]),
         ("components-cycle", ["components", "--input", str(tmp_path / "cycle.pdgraph")]),
@@ -613,6 +637,7 @@ def test_components_loads_scipy_sparse_only_for_a_large_remainder(tmp_path):
     for name, _ in commands[:-2]:
         assert not any(m.startswith("scipy.sparse") for m in loaded[name]["scipy"]), name
     assert loaded["components"]["scipy"] == []
+    assert loaded["components-poisson-1"]["scipy"] == []
     # positive controls: the probe does see scipy once a scale-free model
     # runs, scipy.sparse once components meets the long cycle, and the
     # pool module once an experiment runs with --jobs 2

@@ -24,7 +24,6 @@ from pdcm.components import (
     ComponentSummary,
     _csr,
     _labels,
-    component_labels,
     strongly_connected_components,
     write_component_csv,
 )
@@ -90,54 +89,65 @@ def test_scc_memory_is_bounded():
     labels, peak = traced_peak(_labels, n, indptr, indices)
     assert labels.size == n
     assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
-    assert np.array_equal(labels, component_labels(g))
+    assert np.array_equal(labels, _labels(*_csr(g)))
 
 
 def test_remainder_memory_is_bounded():
-    """What the pivot search leaves open goes to Tarjan, whose Python
-    objects (about 400 bytes per vertex on its depth-first path here) its
-    cap bounds, or to scipy, which holds its int32 work arrays and
-    nothing per entry, within the bound of test_scc_memory_is_bounded.  A
-    path of _TARJAN_MAX / 2 + 2 vertices, all on Tarjan's path but the
-    two ends, is Tarjan's worst case under the cap."""
+    """What the pivot search leaves open goes to the colouring, which holds
+    the int32 labels, the open-vertex mask and one more byte array beside
+    bounded work, or to scipy, which holds its int32 work arrays and
+    nothing per entry: both within the bound of test_scc_memory_is_bounded.
+    The pivot search leaves a remainder of the Poisson(2) graph to the
+    colouring, and finds too small a component of the Poisson(0.5) graph,
+    which goes to scipy."""
     import scipy.sparse.csgraph  # noqa: F401  # loaded untraced
 
-    cap = pdcm.components._TARJAN_MAX
-    ids = np.arange(cap // 2 + 2)
-    n, indptr, indices = _csr(simple_graph(ids.size, ids[:-1], ids[1:], E, E))
-    with mock.patch.object(pdcm.components, "_compiled_labels", side_effect=AssertionError):
+    n, indptr, indices = _csr(poisson_graph(100_000, lam=2))
+    with mock.patch.object(pdcm.components, "_compiled_labels", side_effect=AssertionError), \
+            mock.patch.object(pdcm.components, "_colour_round",
+                              wraps=pdcm.components._colour_round) as colour:
         _, peak = traced_peak(_labels, n, indptr, indices)
-    assert peak <= 16 * n + 256 * cap + (64 << 10), f"{peak / n:.1f} bytes per vertex"
+    assert colour.called
+    assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
     n, indptr, indices = _csr(poisson_graph(100_000, lam=0.5))
-    with mock.patch.object(pdcm.components, "_tarjan", side_effect=AssertionError):
+    with mock.patch.object(pdcm.components, "_colour_round", side_effect=AssertionError):
         _, peak = traced_peak(_labels, n, indptr, indices)
     assert peak <= 16 * n + (64 << 10), f"{peak / n:.1f} bytes per vertex"
 
 
 def _decompose(g):
     """``_labels`` on g's CSR structure, checked against scipy's partition
-    and for labels 0..k-1; returns how many vertices the Tarjan step was
-    handed, or None when scipy's decomposition took the remainder."""
+    and for labels 0..k-1.  Returns the steps taken after the trim, in
+    order: "pivot", "colour" for each colouring round, "cut" after a round
+    that was cut off, and "scipy"."""
     n, indptr, indices = _csr(g)
-    handed = []
-    tarjan, compiled = pdcm.components._tarjan, pdcm.components._compiled_labels
+    steps = []
+    colour, compiled = pdcm.components._colour_round, pdcm.components._compiled_labels
+    pivot = pdcm.components._pivot_component
 
-    def tarjan_spy(indptr, indices, is_open, labels):
-        handed.append(int(is_open.sum()))
-        tarjan(indptr, indices, is_open, labels)
+    def pivot_spy(*args):
+        steps.append("pivot")
+        return pivot(*args)
+
+    def colour_spy(*args):
+        steps.append("colour")
+        done = colour(*args)
+        if not done:
+            steps.append("cut")
+        return done
 
     def compiled_spy(*csr):
-        handed.append(None)
+        steps.append("scipy")
         return compiled(*csr)
 
-    with mock.patch.multiple(pdcm.components, _tarjan=tarjan_spy, _compiled_labels=compiled_spy):
+    with mock.patch.multiple(pdcm.components, _pivot_component=pivot_spy,
+                             _colour_round=colour_spy, _compiled_labels=compiled_spy):
         labels = _labels(n, indptr, indices)
     assert labels.dtype == np.int32
     reference = scc_reference(n, indptr, indices)
     assert same_partition(labels, reference)
     assert np.array_equal(np.unique(labels), np.arange(reference.max() + 1))
-    assert len(handed) == 1
-    return handed[0]
+    return steps
 
 
 def _union(*graphs):
@@ -149,35 +159,54 @@ def _union(*graphs):
     return simple_graph(at, *(np.concatenate(cols) for cols in zip(*parts)))
 
 
+def _beside_clique(m, tails, heads, us=(), vs=()):
+    """Arcs and undirected edges among vertices m, m + 1, ..., given as
+    offsets from m, beside an undirected clique on 0..m-1, whose component
+    the pivot search finds."""
+    u, v = np.triu_indices(m, 1)
+    return simple_graph(m + max(*tails, *heads, *us, *vs) + 1, np.asarray(tails) + m,
+                        np.asarray(heads) + m, np.append(u, np.asarray(us, dtype=int) + m),
+                        np.append(v, np.asarray(vs, dtype=int) + m))
+
+
 class TestSteps:
-    """The trim, the pivot search, the Tarjan step and scipy's
-    decomposition of a large remainder, each reached on its own, against
-    scipy's partition."""
+    """The trim, the pivot search, the colouring and scipy's decomposition,
+    each reached on its own, against scipy's partition."""
 
-    def test_long_cycle_and_path_fall_back_to_tarjan(self):
-        """Past the level cap the forward reach gives up and Tarjan takes
-        every open vertex: all of a cycle, and all of a path but the two
-        ends, which the trim takes."""
-        m = 3 * pdcm.components._LEVELS
-        ids = np.arange(m)
-        assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) == m
-        assert _decompose(simple_graph(m, ids[:-1], ids[1:], E, E)) == m - 2
+    def test_trim_alone(self):
+        """Every vertex lacks an in- or an out-entry: no further step."""
+        assert _decompose(simple_graph(4, np.array([0, 0, 1]), np.array([2, 3, 2]),
+                                       E, E)) == []
 
-    def test_second_giant_goes_to_tarjan(self):
-        """Two disjoint copies of one graph: the pivot search finds one
-        copy's giant and Tarjan the other's."""
+    def test_poisson_giant_found_by_the_pivot_search(self):
+        assert _decompose(poisson_graph(100_000)) == ["pivot"]
+
+    def test_colouring_labels_what_the_pivot_search_leaves(self):
+        """The Poisson(2) graph's remainder, a second giant smaller than the
+        one the pivot search finds, and two remainders beside a clique.  In
+        the first, rows 3 and 8, read in that order at one level, bring
+        vertex 1 the colours 20 and 15: the larger must stay, or 1 is cut
+        from its cycle 20 -> 3 -> 1 -> 20.  In the second, 2 of colour 4
+        (that of the edge 3 - 4) has an arc into the edge 5 - 6 of colour
+        6, which does not reach it: it must not join that component."""
+        assert _decompose(poisson_graph(100_000, lam=2)) == ["pivot", "colour", "colour"]
+        second = _decompose(_union(poisson_graph(2000), poisson_graph(500, seed=3)))
+        assert second[0] == "pivot" and set(second[1:]) == {"colour"}
+        last_lower = _beside_clique(8, [20, 3, 1, 15, 8, 0], [3, 1, 20, 8, 1, 15])
+        assert _decompose(last_lower) == ["pivot", "colour", "colour"]
+        into_other_colour = _beside_clique(8, [3, 2], [2, 5], [3, 5], [4, 6])
+        assert _decompose(into_other_colour) == ["pivot", "colour", "colour"]
+
+    def test_no_giant_goes_to_scipy(self):
+        """The pivot's component is no larger than what it leaves open: the
+        small components of a subcritical graph, one of two equal giants,
+        and a hub that the giant reaches by one arc and that has undirected
+        edges to 100 leaves of its own, the open vertex of largest
+        out-degree, whose component is its 101 vertices."""
+        assert _decompose(poisson_graph(100_000, lam=0.5)) == ["pivot", "scipy"]
         g = poisson_graph(2000)
-        giant = int(np.bincount(component_labels(g)).max())
-        assert giant > 1900
-        assert _decompose(_union(g, g)) >= giant
-
-    def test_pivot_in_an_out_tail(self):
-        """The open vertex of largest out-degree is a hub that the giant
-        reaches by one arc and that has undirected edges to 100 leaves of
-        its own: the pivot's component is the hub's 101 vertices, and the
-        giant goes to Tarjan."""
-        g = poisson_graph(2000)
-        labels = component_labels(g)
+        assert _decompose(_union(g, g)) == ["pivot", "scipy"]
+        labels = _labels(*_csr(g))
         into = int(np.flatnonzero(labels == np.bincount(labels).argmax())[0])
         hub, leaves = 2000, np.arange(2001, 2101)
         tailed = simple_graph(2101, np.append(g.dir_tails, into), np.append(g.dir_heads, hub),
@@ -185,31 +214,34 @@ class TestSteps:
                               np.append(g.und_v, leaves))
         _, indptr, _ = _csr(tailed)
         assert np.diff(indptr).argmax() == hub
-        assert _decompose(tailed) >= np.bincount(labels).max()
+        assert _decompose(tailed) == ["pivot", "scipy"]
 
-    def test_poisson_giant_found_by_the_pivot_search(self):
-        assert _decompose(poisson_graph(100_000)) < 1000
-
-    def test_large_remainder_goes_to_scipy(self):
-        """A cycle too long for the level cap leaves all its vertices open,
-        and a subcritical graph leaves its many small components open:
-        both are more than Tarjan takes."""
-        m = pdcm.components._TARJAN_MAX
-        ids = np.arange(m)
-        assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) is None
-        assert _decompose(poisson_graph(100_000, lam=0.5)) is None
-
-    def test_tarjan_cap_boundary(self):
-        """A cycle cut off by the level cap leaves its m vertices and m
-        entries open: Tarjan takes them under a cap of 2m, scipy under one
-        of 2m - 1."""
+    def test_long_cycle_and_path_cut_off_the_pivot_search(self):
         m = 3 * pdcm.components._LEVELS
         ids = np.arange(m)
-        cycle = simple_graph(m, ids, (ids + 1) % m, E, E)
-        with mock.patch.object(pdcm.components, "_TARJAN_MAX", 2 * m):
-            assert _decompose(cycle) == m
-        with mock.patch.object(pdcm.components, "_TARJAN_MAX", 2 * m - 1):
-            assert _decompose(cycle) is None
+        assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) == ["pivot", "scipy"]
+        assert _decompose(simple_graph(m, ids[:-1], ids[1:], E, E)) == ["pivot", "scipy"]
+
+    def test_long_cycle_cuts_off_a_colouring_round(self):
+        """Beside a larger clique, the largest id takes more than _LEVELS
+        levels to go round the cycle."""
+        m = 3 * pdcm.components._LEVELS
+        ids = np.arange(m)
+        assert _decompose(_beside_clique(m + 8, ids, (ids + 1) % m)) == [
+            "pivot", "colour", "cut", "scipy"]
+
+    def test_colouring_rounds_cut_off(self):
+        """Beside a larger clique, a transitive tournament on m vertices,
+        every arc from the higher id to the lower: the trim takes its top
+        and bottom, and each round closes only the largest of the m - 2
+        left.  m - 2 rounds finish under a cap of m - 2, not of m - 3."""
+        m = 40
+        tails, heads = np.triu_indices(m, 1)[::-1]
+        graph = _beside_clique(m + 10, tails, heads)
+        with mock.patch.object(pdcm.components, "_LEVELS", m - 2):
+            assert _decompose(graph) == ["pivot"] + ["colour"] * (m - 2)
+        with mock.patch.object(pdcm.components, "_LEVELS", m - 3):
+            assert _decompose(graph) == ["pivot"] + ["colour"] * (m - 3) + ["scipy"]
 
 
 _ENDS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=25)
@@ -278,15 +310,24 @@ def test_partition_property(seed):
     assert 0.0 < cs.largest_relative <= 1.0
 
 
+@pytest.mark.parametrize("levels", [pdcm.components._LEVELS, 2])
+@pytest.mark.parametrize("clique", [0, 13])
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31))
-def test_matches_brute_force_closure(seed):
+def test_matches_brute_force_closure(levels, clique, seed):
     """The strong components agree with an explicit reachability oracle,
-    down to which vertices share a component."""
+    down to which vertices share a component.  Under a cap of 2 levels or
+    rounds, random graphs also reach the pivot search's cut-off.  Beside an
+    undirected clique of 13 vertices, more than a random graph has, whose
+    component the pivot search takes, about 9 in 10 of them reach the
+    colouring, and under the cap of 2 about 2 in 3 reach its cut-off."""
     g = random_simple_graph(np.random.default_rng(seed))
-    cs = strongly_connected_components(g)
+    if clique:
+        g = _union(simple_graph(clique, E, E, *np.triu_indices(clique, 1)), g)
+    with mock.patch.object(pdcm.components, "_LEVELS", levels):
+        cs = strongly_connected_components(g)
+        labels = _labels(*_csr(g))
     assert cs.sizes.tolist() == brute_scc_sizes(g)
-    labels = component_labels(g)
     assert np.array_equal(np.unique(labels), np.arange(cs.num_components))
     by_label = {}
     for v, lab in enumerate(labels.tolist()):

@@ -1,6 +1,7 @@
 """Experiment grid: config parsing, seed derivation, resumable CSV."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pdcm.experiment import (
     DEFAULT_SIZES,
     ExperimentConfig,
     config_from_mapping,
+    model_label,
     parse_config_file,
     run_cell,
     run_experiment,
@@ -100,10 +102,22 @@ class TestConfig:
                              coupling="dependent").distribution()
         assert d.gamma == 2.5 and d.coupling == "dependent"
 
-    def test_model_label(self):
-        assert ExperimentConfig(lam=7.0).model_label() == "poisson(7)"
-        assert ExperimentConfig(model="scale_free",
-                                gamma=2.5).model_label() == "scale_free(2.5)"
+    def test_model_label(self, tmp_path):
+        """An empirical law is named by the sha256 of its int64 triples in
+        file order: another layout of the same rows keeps the label, and
+        another order of them changes it."""
+        assert model_label(ExperimentConfig(lam=7.0).distribution()) == "poisson(7)"
+        assert model_label(ExperimentConfig(model="scale_free",
+                                            gamma=2.5).distribution()) == "scale_free(2.5)"
+        texts = ("1 1 0\n0 0 2\n", "# two rows\n1  1 0\n\n0\t0 2", "0 0 2\n1 1 0\n")
+        labels = []
+        for i, text in enumerate(texts):
+            (tmp_path / f"{i}.txt").write_text(text)
+            labels.append(model_label(ExperimentConfig(
+                model="empirical", degrees=str(tmp_path / f"{i}.txt")).distribution()))
+        rows = np.array([[1, 1, 0], [0, 0, 2]], dtype="<i8").tobytes()
+        assert labels[0] == labels[1] == f"empirical:{hashlib.sha256(rows).hexdigest()[:12]}"
+        assert labels[2] != labels[0]
 
 
 class TestConfigFile:
@@ -323,7 +337,7 @@ class TestRunExperiment:
         run_experiment(config)
         with open(config.output, newline="") as fh:
             row = list(csv.DictReader(fh))[0]
-        cell = run_cell(config.distribution(), config.model_label(), 40,
+        cell = run_cell(config.distribution(), model_label(config.distribution()), 40,
                         config.cell_seed(0, 0))
         for col in ("d_tv", "modified_per_vertex", "prop_directed"):
             assert float(row[col]) == cell[col]

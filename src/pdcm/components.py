@@ -23,19 +23,19 @@ built once the graph can be dropped, in up to four steps:
    id among the open vertices that reach it; one that kept its own id is
    a root, whose component is the vertices of its colour that reach it.
    Rounds of this label what the pivot search left open.
-4. scipy's compiled decomposition of the whole structure, imported only
-   when a reach or the rounds are cut off, as on a long cycle or path or
-   on Poisson(0.6), whose giant is more than _LEVELS levels across; or
-   when the pivot's component is no larger than what it leaves open, as
-   on subcritical graphs (31-49 % of the vertices stay open at
-   Poisson(0.5) and below).
+4. scipy's compiled decomposition of the whole structure, the one exit
+   for what the numpy steps leave open: when a reach or the rounds are
+   cut off, as on a long cycle or path or on Poisson(0.6), whose giant is
+   more than _LEVELS levels across, or when the pivot's component is no
+   larger than what it leaves open, as on subcritical graphs (31-49 % of
+   the vertices stay open at Poisson(0.5) and below).
 
 Each reach, and the colouring, stops after _LEVELS levels or rounds, so
 a long cycle or path costs at most _LEVELS numpy passes before step 4.
 The reaches select rows in windows of _WINDOW vertices, read them in runs
 of at most _BLOCK rows and their entries in steps of _STEP, so beside the
 int32 labels they hold three byte arrays per vertex and bounded work, and
-nothing per entry.  Labels are renumbered 0..k-1 at the end.
+nothing per entry.
 
 scipy is kept off the common path because loading scipy.sparse costs a
 process about half a CPU second, more than the numpy steps take at 10^5
@@ -118,7 +118,8 @@ def _csr(g: SimpleGraph):
 
 
 def _labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Component id per row of the CSR structure: 0..k-1 in int32."""
+    """Component label per row of the CSR structure, in int32: vertices
+    share a label exactly when they share a component."""
     labels = np.arange(n, dtype=np.int32)
     is_open = np.zeros(n, dtype=bool)
     for i in range(0, indices.size, _STEP):
@@ -131,46 +132,30 @@ def _labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         del degree
         scc = _pivot_component(indptr, indices, is_open, pivot)
         # a pivot component no larger than what it leaves open is not a giant
-        if scc is None or 2 * np.count_nonzero(scc) <= np.count_nonzero(is_open):
-            del labels, is_open, scc
-            return _compiled_labels(n, indptr, indices)
-        labels[scc] = pivot
-        is_open[scc] = False
+        giant = scc is not None and 2 * np.count_nonzero(scc) > np.count_nonzero(is_open)
+        if giant:
+            labels[scc] = pivot
+            is_open[scc] = False
         del scc
-    for _ in range(_LEVELS):
-        if not is_open.any() or not _colour_round(indptr, indices, is_open, labels):
-            break
-    if is_open.any():  # a reach, or the rounds, cut off
-        del labels, is_open
-        return _compiled_labels(n, indptr, indices)
-    del is_open
-    return _dense(labels)
+        for _ in range(_LEVELS if giant else 0):
+            if not is_open.any() or not _colour_round(indptr, indices, is_open, labels):
+                break
+    if not is_open.any():
+        return labels
+    del labels, is_open  # a reach or the rounds cut off, or no giant
+    return _compiled_labels(n, indptr, indices)
 
 
 def _compiled_labels(n, indptr, indices):
-    """scipy's component labels, 0..k-1 in int32, for the whole structure
-    wrapped without a copy: the float64 weights are one zero-stride 1.0,
-    so astype copies nothing."""
+    """scipy's int32 labels, shared exactly by the vertices of a component,
+    for the whole structure wrapped without a copy: the float64 weights
+    are one zero-stride 1.0, so astype copies nothing."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     adj = csr_matrix((np.broadcast_to(np.float64(1.0), indices.size), indices, indptr),
                      shape=(n, n))
     return connected_components(adj, directed=True, connection="strong")[1]
-
-
-def _dense(labels):
-    """labels, each a vertex id, renumbered in place to 0..k-1 in the order
-    of those ids."""
-    used = np.zeros(labels.size, dtype=bool)
-    for i in range(0, labels.size, _STEP):
-        used[labels[i:i + _STEP]] = True
-    rank = np.cumsum(used, dtype=np.int32)
-    del used
-    rank -= 1
-    for i in range(0, labels.size, _STEP):
-        labels[i:i + _STEP] = rank[labels[i:i + _STEP]]
-    return labels
 
 
 def _runs(n, select):
@@ -311,7 +296,7 @@ def strongly_connected_components(g: SimpleGraph) -> ComponentSummary:
     """Decompose g into SCCs over its directed reachability view."""
     n, csr = g.n, _csr(g)
     del g
-    return ComponentSummary.from_sizes(np.bincount(_labels(*csr)), n)
+    return ComponentSummary.from_sizes(np.unique(_labels(*csr), return_counts=True)[1], n)
 
 
 def write_component_csv(summary: ComponentSummary, path) -> None:

@@ -49,13 +49,6 @@ from .simplify import simplify
 #: Fig.-style default grid, log-spaced decades.
 DEFAULT_SIZES = (100, 1_000, 10_000, 100_000, 1_000_000)
 
-# config-file keys, all optional, mirroring the CLI flag names
-CONFIG_KEYS = (
-    "model", "coupling", "lambda", "gamma", "degrees",
-    "sizes", "replicates", "seed", "output", "jobs",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str = "poisson"
@@ -70,11 +63,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for field in fields(self):
-            key = "lambda" if field.name == "lam" else field.name
+        for key, field in zip(CONFIG_KEYS, fields(self)):
             object.__setattr__(self, field.name, _checked(key, getattr(self, field.name)))
         if self.model == "empirical" and not self.degrees:
-            raise ValueError("model=empirical needs a degree file (degrees=...)")
+            raise ValueError("model=empirical needs a degree file: --degrees FILE, "
+                             "or degrees = FILE in a config file")
 
     def distribution(self) -> JointDegreeDistribution:
         if self.model == "poisson":
@@ -93,6 +86,11 @@ class ExperimentConfig:
         for s, n in enumerate(self.sizes):
             for r in range(self.replicates):
                 yield n, self.cell_seed(s, r)
+
+
+# config-file keys, all optional, mirroring the CLI flag names: lam is lambda
+CONFIG_KEYS = tuple("lambda" if field.name == "lam" else field.name
+                    for field in fields(ExperimentConfig))
 
 
 def model_label(dist: JointDegreeDistribution) -> str:

@@ -6,9 +6,9 @@ each other; in-stubs are then paired uniformly with out-stubs.  The result
 may contain self-loops and parallel edges (it is a multigraph) and is fed to
 the simplifier afterwards.
 
-Draw order is part of the determinism contract: a single generator seeded
-with the given seed first permutes the undirected stub list, then permutes
-one directed stub list.
+Draw order is part of the determinism contract: one generator permutes
+every undirected stub list, then another (for match_stubs, the same one)
+every longer directed stub list.
 """
 from __future__ import annotations
 
@@ -95,18 +95,31 @@ def _stub_owners(seq: DegreeSequence, reps: int):
     return und, drawn, np.repeat(ids, other), in_drawn
 
 
-def _match(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
-    """``reps`` matchings of ``seq``, replicate j on the vertex ids
-    [j*n, (j+1)*n).
+def match_stubs_union(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
+    """Disjoint union of ``reps`` matchings of ``seq``, replicate j on the
+    vertex ids [j*n, (j+1)*n).
+
+    Undirected phase: the undirected stub list is expanded (one entry per
+    stub, owner's id), uniformly permuted, and consecutive entries are
+    paired; an odd trailing stub is left over.  Directed phase: in-stubs
+    and out-stubs are expanded the same way and the *longer* list is
+    permuted, then the shorter list is paired positionally with the head
+    of it.  Permuting the longer side makes the unpaired surplus a
+    uniformly random subset of its stubs -- permuting the shorter side
+    would always strand the lexicographically last stubs of the longer
+    one.  Either way every perfect matching of the paired portion is
+    equally likely.
 
     Each replicate's stub lists are rows of two tiled arrays, shuffled in
-    place row after row: ``und_rng`` shuffles the undirected rows, then
-    ``drawn_rng`` the longer directed rows.  On a C-contiguous array,
-    ``permuted(x, axis=1, out=x)`` draws what ``shuffle`` draws on each
-    row in turn (for a 1-D array ``shuffle`` draws exactly what
-    ``permutation`` does).  Consecutive undirected entries then form an
-    edge, and the shorter directed list is paired with the head of the
-    shuffled longer one.
+    place row after row, the undirected ones by ``und_rng`` and then the
+    longer directed ones by ``drawn_rng``, so consecutive calls on the
+    same two generators draw what one call with all their replicates
+    would.  On a C-contiguous array, ``permuted(x, axis=1, out=x)`` draws
+    what ``shuffle`` draws on each row in turn (for a 1-D array
+    ``shuffle`` draws exactly what ``permutation`` does).  Blocks share no
+    vertex, and every erasure rule acts on vertex pairs, so one
+    ``simplify`` of the union gives each block what a separate call on
+    that block's matching would, and its report is the sum of theirs.
     """
     n = seq.n
     check_vertex_count(reps * n)
@@ -131,33 +144,7 @@ def _match(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
 
 
 def match_stubs(seq: DegreeSequence, seed: int) -> MultiGraph:
-    """Pair the stubs of ``seq`` uniformly at random.
-
-    Undirected phase: the undirected stub list is expanded (one entry per
-    stub, owner's id), uniformly permuted, and consecutive entries are
-    paired; an odd trailing stub is left over.  Directed phase: in-stubs
-    and out-stubs are expanded the same way and the *longer* list is
-    permuted, then the two are paired positionally up to the shorter
-    length.  Permuting the longer side makes the unpaired surplus a
-    uniformly random subset of its stubs -- permuting the shorter side
-    would always strand the lexicographically last stubs of the longer
-    one.  Either way every perfect matching of the paired portion is
-    equally likely.
-    """
+    """Pair the stubs of ``seq`` uniformly at random: the one-block
+    ``match_stubs_union`` whose two shuffles draw from one generator."""
     rng = make_generator(seed)
-    return _match(seq, 1, rng, rng)
-
-
-def match_stubs_union(seq: DegreeSequence, reps: int, und_rng, drawn_rng) -> MultiGraph:
-    """Disjoint union of ``reps`` matchings of ``seq``, replicate j on the
-    vertex ids [j*n, (j+1)*n).
-
-    ``und_rng`` shuffles every replicate's undirected stub list, in
-    replicate order, and ``drawn_rng`` every replicate's longer directed
-    list, so consecutive calls on the same two generators draw what one
-    call with all their replicates would.  Blocks share no vertex, and
-    every erasure rule acts on vertex pairs, so one ``simplify`` of the
-    union gives each block what a separate call on that block's matching
-    would, and its report is the sum of theirs.
-    """
-    return _match(seq, reps, und_rng, drawn_rng)
+    return match_stubs_union(seq, 1, rng, rng)

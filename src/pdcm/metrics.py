@@ -14,7 +14,7 @@ by truncating the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .degrees import (
 )
 from .simplify import ErasureReport, SimpleGraph
 
-# experiment CSV layout: identification, distortion, the nine per-vertex
-# erasure rates (named by their report fields), then the direction mix
+# experiment CSV layout: identification, distortion, the per-vertex
+# erasure rates (one per report field), then the direction mix
 CSV_COLUMNS = (
     "model",
     "coupling",
@@ -36,15 +36,7 @@ CSV_COLUMNS = (
     "seed",
     "d_tv",
     "modified_per_vertex",
-    "unconnected_und",
-    "unconnected_dir",
-    "self_loops_dir",
-    "self_loops_und",
-    "parallel_dir",
-    "parallel_und",
-    "dir_parallel_to_und",
-    "reciprocal_pairs_converted",
-    "modified_vertices",
+    *(field.name for field in fields(ErasureReport)),
     "prop_directed",
 )
 

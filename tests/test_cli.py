@@ -149,6 +149,17 @@ class TestGenerate:
         assert f"lambda must be at most {2**31}, the limit of stubs of one type" in err
         assert not out.exists()
 
+    def test_empirical_without_degree_file_names_flag_and_config_key(self, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "g.pdgraph"
+        rc, _, err = run(capsys, "generate", "--model", "empirical", "--n", "4",
+                         "--seed", "1", "--output", str(out),
+                         "--report", str(tmp_path / "r.json"))
+        assert rc == 1
+        assert err == ("pdcm: error: model=empirical needs a degree file: "
+                       "--degrees FILE, or degrees = FILE in a config file\n")
+        assert not out.exists()
+
     def test_bad_degree_file_is_runtime_error(self, tmp_path, capsys):
         rc, _, err = run(capsys, "generate", "--model", "empirical",
                          "--degrees", str(tmp_path / "nope.txt"),
@@ -274,6 +285,16 @@ class TestExperiment:
                          "--sizes", "20", "--replicates", "1", "--seed", "1",
                          "--output", str(tmp_path / "no_dir" / "m.csv"))
         assert rc == 1 and "error" in err
+
+    def test_empirical_config_without_degree_file_names_both_forms(self, tmp_path,
+                                                                   capsys):
+        cfg, out = tmp_path / "e.cfg", tmp_path / "m.csv"
+        cfg.write_text(f"model = empirical\nsizes = 10\noutput = {out}\n")
+        rc, _, err = run(capsys, "experiment", "--config", str(cfg), "--quiet")
+        assert rc == 1
+        assert err == ("pdcm: error: model=empirical needs a degree file: "
+                       "--degrees FILE, or degrees = FILE in a config file\n")
+        assert not out.exists()
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"

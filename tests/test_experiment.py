@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,20 +235,20 @@ class TestRunExperiment:
     def test_rerun_skips_everything_and_keeps_bytes(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)
-        before = open(config.output, "rb").read()
+        before = Path(config.output).read_bytes()
         ran, skipped = run_experiment(config)
         assert (ran, skipped) == (0, 6)
-        assert open(config.output, "rb").read() == before
+        assert Path(config.output).read_bytes() == before
 
     def test_resume_recomputes_only_missing_rows(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)
-        before = open(config.output, "rb").read()
+        before = Path(config.output).read_bytes()
         lines = before.decode().splitlines(keepends=True)
-        open(config.output, "w").writelines(lines[:3] + lines[4:])  # drop a row
+        Path(config.output).write_text("".join(lines[:3] + lines[4:]))  # drop a row
         ran, skipped = run_experiment(config)
         assert (ran, skipped) == (1, 5)
-        assert open(config.output, "rb").read() == before
+        assert Path(config.output).read_bytes() == before
 
     def test_extending_replicates_resumes(self, tmp_path):
         config = small_config(tmp_path, replicates=2)
@@ -259,7 +260,7 @@ class TestRunExperiment:
         fresh = small_config(tmp_path, replicates=3,
                              output=str(tmp_path / "fresh.csv"))
         run_experiment(fresh)
-        assert open(more.output, "rb").read() == open(fresh.output, "rb").read()
+        assert Path(more.output).read_bytes() == Path(fresh.output).read_bytes()
 
     def test_parallel_run_is_byte_identical(self, tmp_path):
         serial = small_config(tmp_path)
@@ -267,8 +268,8 @@ class TestRunExperiment:
         parallel = small_config(tmp_path, jobs=2,
                                 output=str(tmp_path / "par.csv"))
         run_experiment(parallel)
-        assert (open(serial.output, "rb").read()
-                == open(parallel.output, "rb").read())
+        assert (Path(serial.output).read_bytes()
+                == Path(parallel.output).read_bytes())
 
     def test_pool_no_larger_than_pending_cells(self, tmp_path, monkeypatch):
         """Under fork every max_workers process starts at the first submit,
@@ -297,12 +298,12 @@ class TestRunExperiment:
         assert sizes == [2]
         fresh = small_config(tmp_path, output=str(tmp_path / "fresh.csv"))
         run_experiment(fresh)
-        assert (open(config.output, "rb").read()
-                == open(fresh.output, "rb").read())
+        assert (Path(config.output).read_bytes()
+                == Path(fresh.output).read_bytes())
 
     def test_foreign_schema_refused(self, tmp_path):
         config = small_config(tmp_path)
-        open(config.output, "w").write("a,b,c\n1,2,3\n")
+        Path(config.output).write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="column layout"):
             run_experiment(config)
 

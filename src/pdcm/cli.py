@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .components import strongly_connected_components, write_component_csv
 from .degrees import COUPLINGS, MODELS
@@ -51,7 +52,7 @@ def cmd_generate(args) -> int:
     g, report = sample_graph(dist, args.n, args.seed)
     write_pdgraph(g, args.output)
     with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+        fh.write(json.dumps(asdict(report)) + "\n")
     print(f"wrote {args.output} (n={g.n}, directed={g.num_directed}, "
           f"undirected={g.num_undirected}) and {args.report}")
     return 0
@@ -61,7 +62,7 @@ def cmd_ingest(args) -> int:
     g, stats = ingest_path(args.input)
     if args.output:
         write_pdgraph(g, args.output)
-    print(stats.to_json())
+    print(json.dumps(asdict(stats)))
     return 0
 
 

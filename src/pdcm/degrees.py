@@ -168,12 +168,8 @@ class JointDegreeDistribution:
         if self.kind == "empirical":
             if self.triples is None:
                 raise ValueError("empirical distribution needs a list of triples")
-            t = np.ascontiguousarray(self.triples, dtype=np.int64).reshape(-1, 3)
-            if t.shape[0] == 0:
-                raise ValueError("empirical triple list must be non-empty")
-            if (t < 0).any():
-                raise ValueError("degrees must be non-negative")
-            object.__setattr__(self, "triples", t)
+            t = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
+            object.__setattr__(self, "triples", DegreeSequence(t).triples)
         elif self.kind == "scale_free":
             if self.gamma is None:
                 raise ValueError("scale_free distribution needs gamma")
@@ -342,6 +338,12 @@ def _empirical_marginal_pmf(column: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _univariate_pmf(dist: JointDegreeDistribution, k: np.ndarray) -> np.ndarray:
     if dist.kind == "scale_free":
         return _scale_free_pmf(dist.gamma, k)
+    if math.exp(-dist.lam) < np.finfo(np.float64).tiny:
+        # the recurrence would start from a subnormal or zero p_0, so take
+        # log p_k = k log(lam) - lam - lgamma(k + 1) at each queried k
+        from scipy.special import gammaln
+
+        return np.exp(k * math.log(dist.lam) - dist.lam - gammaln(k + 1))
     p = _poisson_pmf_upto(dist.lam, int(k.max()) if k.size else 0)
     return np.where(k < p.size, p[np.minimum(k, p.size - 1)], 0.0)
 

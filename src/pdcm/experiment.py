@@ -78,14 +78,11 @@ class ExperimentConfig:
             load_degree_file(self.degrees), self.coupling
         )
 
-    def cell_seed(self, size_index: int, replicate: int) -> int:
-        return replicate_seed(self.seed, size_index, replicate)
-
     def grid(self):
         """All (n, cell_seed) cells, in size-major replicate-minor order."""
         for s, n in enumerate(self.sizes):
             for r in range(self.replicates):
-                yield n, self.cell_seed(s, r)
+                yield n, replicate_seed(self.seed, s, r)
 
 
 # config-file keys, all optional, mirroring the CLI flag names: lam is lambda
@@ -93,14 +90,19 @@ CONFIG_KEYS = tuple("lambda" if field.name == "lam" else field.name
                     for field in fields(ExperimentConfig))
 
 
+def _number(x: float) -> str:
+    """x in :g form where that reads back as x, else in full (repr)."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
 def model_label(dist: JointDegreeDistribution) -> str:
     """The string written to the CSV model column.  An empirical law is
     named by the first 12 hex digits of the sha256 of its int64 triples in
     file order, so that resume can tell two degree files apart."""
     if dist.kind == "poisson":
-        return f"poisson({dist.lam:g})"
+        return f"poisson({_number(dist.lam)})"
     if dist.kind == "scale_free":
-        return f"scale_free({dist.gamma:g})"
+        return f"scale_free({_number(dist.gamma)})"
     # imported here: hashlib loads OpenSSL, about 3.6 MB of every process's peak
     import hashlib
 
@@ -214,14 +216,6 @@ def _cell_task(cell):
     return run_cell(*_worker_experiment, *cell)
 
 
-def _format_row(row: dict) -> list:
-    out = []
-    for col in CSV_COLUMNS:
-        v = row[col]
-        out.append(repr(v) if isinstance(v, float) else str(v))
-    return out
-
-
 def _read_completed(path, label: str, coupling: str) -> dict:
     """(n, seed) -> raw string row, for every row already in the file;
     a row of another model or coupling than (label, coupling) is refused."""
@@ -280,7 +274,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
                 initargs=(dist, label)))
             results = pool.map(_cell_task, pending)
         for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):
-            rows[(n, cs)] = _format_row(row)
+            rows[(n, cs)] = [row[col] for col in CSV_COLUMNS]
             if log is not None:
                 log(f"[{done}/{len(pending)}] n={n} seed={cs}")
 

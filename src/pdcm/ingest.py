@@ -19,10 +19,9 @@ is decompressed), straight into one growing id or pair-code array.
 from __future__ import annotations
 
 import gzip
-import json
 import re
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +51,6 @@ class IngestStats:
     proportion_directed: float
     self_arcs_dropped: int
     duplicates_dropped: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def parse_edge_list(stream) -> RawArcList:

@@ -14,7 +14,7 @@ by truncating the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def erased_per_vertex(report: ErasureReport, n: int) -> dict:
     """Each erasure count divided by the vertex count."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return {key: value / n for key, value in report.as_dict().items()}
+    return {key: value / n for key, value in asdict(report).items()}
 
 
 def proportion_directed(g: SimpleGraph) -> float:

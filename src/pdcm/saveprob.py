@@ -18,10 +18,10 @@ Conventions used throughout:
   ``v = s_und % 2`` flags the odd undirected stub; both act as pools
   that absorb stubs which cannot be paired, and enter the denominators
   like an extra pseudo-vertex;
-* each denominator carries one more indicator that keeps it positive
-  in the degenerate case where the tagged vertex has more stubs of a
-  type than exist in total -- every numerator is zero there, so the
-  guard never changes the sum, it only avoids 0/0.
+* denominators are computed only where the numerator is nonzero, and
+  there each is at least 1: a nonzero numerator needs d_in others with
+  out-stubs, d_out with in-stubs and d_und with undirected stubs, so
+  d_in <= s_out, d_out <= s_in - d_in and 2 * d_und <= s_und.
 """
 
 from __future__ import annotations
@@ -55,24 +55,16 @@ def _step_denominators(seq: DegreeSequence):
     the matching-stub count shrinks by one per step (two for undirected,
     which consume a stub at both ends).  The out-stub chain runs after
     the in-stub chain, hence its pool starts d_in lower.  The w / v pool
-    terms and the final guards are described in the module docstring.
+    terms, and why a used denominator is >= 1, are in the module docstring.
     """
     d_in, d_out, d_und = seq.triples[0].tolist()
     s_in, s_out, s_und = seq.s_in, seq.s_out, seq.s_und
     w = s_in - s_out
     v = s_und % 2
 
-    guard_in = d_in if d_in > s_out else 0
-    den_in = [s_out - r + 1 + max(w, 0) + guard_in
-              for r in range(1, d_in + 1)]
-
-    guard_out = (d_out + d_in) if d_out > s_in - d_in else 0
-    den_out = [s_in - d_in - r + 1 + max(-w, 0) + guard_out
-               for r in range(1, d_out + 1)]
-
-    guard_und = 2 * d_und if 2 * d_und > s_und else 0
-    den_und = [s_und - 2 * r + 1 + v + guard_und
-               for r in range(1, d_und + 1)]
+    den_in = [s_out - r + 1 + max(w, 0) for r in range(1, d_in + 1)]
+    den_out = [s_in - d_in - r + 1 + max(-w, 0) for r in range(1, d_out + 1)]
+    den_und = [s_und - 2 * r + 1 + v for r in range(1, d_und + 1)]
     return den_in, den_out, den_und
 
 
@@ -96,9 +88,9 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     in exact integer / rational arithmetic.
 
     Returns a Fraction in [0, 1].  Degenerate inputs (more target stubs
-    than available vertices or matching stubs) yield Fraction(0) -- the
-    guard indicators keep every denominator positive, so no input can
-    divide by zero.
+    than available vertices or matching stubs) have a zero numerator and
+    yield Fraction(0) before any denominator is computed; for the rest
+    every denominator is at least 1, so no input divides by zero.
     """
     (d_in, d_out, d_und), others = _split(seq)
     if d_in + d_out + d_und > len(others):

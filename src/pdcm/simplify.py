@@ -22,8 +22,7 @@ hold the arcs' unordered-pair codes, byte masks and fixed-size chunks.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,12 +204,6 @@ class ErasureReport:
     dir_parallel_to_und: int
     reciprocal_pairs_converted: int
     modified_vertices: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:

@@ -251,7 +251,8 @@ def exact_by_enumeration(seq):
     independent cross-check of the factorized route in
     ``exact_save_probability``.  The first d_in positions of each tuple
     feed the in-stub chain, the next d_out the out-stub chain, the rest
-    the undirected chain.
+    the undirected chain.  The step denominators are taken only for a
+    nonzero sum, the one case where each is at least 1.
     """
     import math
     from fractions import Fraction
@@ -264,8 +265,6 @@ def exact_by_enumeration(seq):
     if d > len(others):
         return Fraction(0)
 
-    den_in, den_out, den_und = _step_denominators(seq)
-    denominator = math.prod(den_in) * math.prod(den_out) * math.prod(den_und)
     ins, outs, unds = zip(*others)
 
     total = 0
@@ -278,7 +277,10 @@ def exact_by_enumeration(seq):
         for idx in tup[d_in + d_out:]:
             term *= unds[idx]
         total += term
-    return Fraction(total, denominator)
+    if total == 0:
+        return Fraction(0)
+    den_in, den_out, den_und = _step_denominators(seq)
+    return Fraction(total, math.prod(den_in) * math.prod(den_out) * math.prod(den_und))
 
 
 def save_battery(count=10, seed=20260815):

@@ -46,6 +46,11 @@ class TestGenerate:
         assert rc == 0
         report = json.loads(rep.read_text())
         assert report["unconnected_dir"] == 0
+        # one flat object, the ErasureReport fields in their order
+        assert list(report) == [
+            "unconnected_und", "unconnected_dir", "self_loops_dir", "self_loops_und",
+            "parallel_dir", "parallel_und", "dir_parallel_to_und",
+            "reciprocal_pairs_converted", "modified_vertices"]
 
     def test_single_atom_empirical_forces_two_undirected_edges(self, tmp_path, capsys):
         atom = tmp_path / "atom.txt"
@@ -176,9 +181,11 @@ class TestIngest:
         rc, stdout, _ = run(capsys, "ingest", "--input", FIXTURE,
                             "--output", str(out))
         assert rc == 0
-        stats = json.loads(stdout)
-        assert stats["n"] == 6
-        assert stats["directed"] == 4 and stats["undirected"] == 3
+        # one flat JSON line, the IngestStats fields in their order
+        assert stdout == (
+            '{"n": 6, "directed": 4, "undirected": 3, '
+            '"proportion_directed": 0.5714285714285714, "self_arcs_dropped": 1, '
+            '"duplicates_dropped": 1}\n')
         # the stored graph carries the same edges
         g = read_pdgraph(out)
         assert g.num_directed == 4 and g.num_undirected == 3
@@ -246,11 +253,13 @@ class TestExperiment:
         ("--model", "scale_free", "--gamma", "2.5", "--coupling", "dependent"),
         ("--model", "poisson", "--lambda", "6"),
         ("--model", "poisson", "--coupling", "dependent"),
-    ], ids=["model", "parameter", "coupling"])
+        ("--model", "poisson", "--lambda", "5.0000001"),
+    ], ids=["model", "parameter", "coupling", "parameter-past-6-digits"])
     def test_resume_into_another_models_rows_is_runtime_error(self, tmp_path,
                                                              capsys, other):
         """Resume keys cells on (n, seed), which two models share, so rows
-        of another model or coupling are refused, not kept as this run's."""
+        of another model or coupling are refused, not kept as this run's;
+        so are those of a mean that agrees with this one to 6 digits."""
         out = tmp_path / "m.csv"
         grid = ("--sizes", "30,60", "--replicates", "2", "--seed", "4",
                 "--output", str(out), "--quiet")

@@ -228,6 +228,18 @@ class TestSteps:
         assert _decompose(_beside_clique(m + 8, ids, (ids + 1) % m)) == [
             "pivot", "colour", "cut", "scipy"]
 
+    def test_long_pull_cuts_off_a_colouring_round(self):
+        """Beside a larger clique, a hub with arcs to every vertex of a path
+        whose end has an arc back to it: the hub's colour reaches the whole
+        path in 3 levels, but the pull joins one vertex per round, from the
+        end of the path down, and needs more than _LEVELS rounds."""
+        m = 2 * pdcm.components._LEVELS
+        ids = np.arange(m - 1)
+        tails = np.concatenate([np.full(m - 1, m), ids, [m - 1]])
+        heads = np.concatenate([ids, ids + 1, [m]])
+        assert _decompose(_beside_clique(m + 8, tails, heads)) == [
+            "pivot", "colour", "cut", "scipy"]
+
     def test_colouring_rounds_cut_off(self):
         """Beside a larger clique, a transitive tournament on m vertices,
         every arc from the higher id to the lower: the trim takes its top

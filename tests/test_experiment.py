@@ -104,12 +104,16 @@ class TestConfig:
         assert d.gamma == 2.5 and d.coupling == "dependent"
 
     def test_model_label(self, tmp_path):
-        """An empirical law is named by the sha256 of its int64 triples in
-        file order: another layout of the same rows keeps the label, and
+        """A parameter is written in :g form where that reads back, else in
+        full.  An empirical law is named by the sha256 of its int64 triples
+        in file order: another layout of the same rows keeps the label, and
         another order of them changes it."""
         assert model_label(ExperimentConfig(lam=7.0).distribution()) == "poisson(7)"
         assert model_label(ExperimentConfig(model="scale_free",
                                             gamma=2.5).distribution()) == "scale_free(2.5)"
+        for lam, label in ((7.0000001, "poisson(7.0000001)"), (1234567.0, "poisson(1234567.0)"),
+                           (1234568.0, "poisson(1234568.0)"), (1e-5, "poisson(1e-05)")):
+            assert model_label(ExperimentConfig(lam=lam).distribution()) == label
         texts = ("1 1 0\n0 0 2\n", "# two rows\n1  1 0\n\n0\t0 2", "0 0 2\n1 1 0\n")
         labels = []
         for i, text in enumerate(texts):
@@ -339,7 +343,7 @@ class TestRunExperiment:
         with open(config.output, newline="") as fh:
             row = list(csv.DictReader(fh))[0]
         cell = run_cell(config.distribution(), model_label(config.distribution()), 40,
-                        config.cell_seed(0, 0))
+                        replicate_seed(config.seed, 0, 0))
         for col in ("d_tv", "modified_per_vertex", "prop_directed"):
             assert float(row[col]) == cell[col]
 

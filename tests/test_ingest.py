@@ -27,7 +27,6 @@ from _oracles import (
 from pdcm import degrees, ingest
 from pdcm.degrees import load_degree_file
 from pdcm.ingest import (
-    IngestStats,
     ParseError,
     _classify,
     _densify,
@@ -145,14 +144,6 @@ class TestClassify:
             + stats.self_arcs_dropped
             + stats.duplicates_dropped
             == raw.num_arcs
-        )
-
-    def test_stats_json_is_flat(self):
-        stats = IngestStats(3, 1, 1, 0.5, 0, 0)
-        assert stats.to_json() == (
-            '{"n": 3, "directed": 1, "undirected": 1, '
-            '"proportion_directed": 0.5, "self_arcs_dropped": 0, '
-            '"duplicates_dropped": 0}'
         )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,9 +249,9 @@ def test_one_matching_body(rows, seeds):
         assert a.dtype == b.dtype == np.int64
         assert a.tolist() == b.tolist()
     und_rng, drawn_rng = make_generator(seeds[0]), make_generator(seeds[-1])
-    reports = [simplify(match_stubs_union(seq, 1, und_rng, drawn_rng))[1].as_dict()
+    reports = [asdict(simplify(match_stubs_union(seq, 1, und_rng, drawn_rng))[1])
                for _ in seeds]
     _, report = simplify(match_stubs_union(seq, len(seeds), make_generator(seeds[0]),
                                            make_generator(seeds[-1])))
-    assert report.as_dict() == {
+    assert asdict(report) == {
         key: sum(r[key] for r in reports) for key in reports[0]}

@@ -93,8 +93,8 @@ class TestExactExamples:
         assert exact_save_probability(spec) == 0
 
     def test_no_matching_stubs_zero_without_dividing(self):
-        # nobody has an out-stub for the target's in-stub; the guard
-        # indicator keeps the denominator positive
+        # nobody has an out-stub for the target's in-stub: the numerator
+        # is 0, and the result is 0 before any denominator is taken
         spec = S((1, 0, 0), (1, 0, 0), (1, 0, 0))
         assert exact_save_probability(spec) == 0
 
@@ -130,6 +130,16 @@ class TestCrossValidation:
     @given(spec_st)
     def test_factorized_equals_naive_tuple_sum(self, spec):
         assert exact_save_probability(spec) == exact_by_enumeration(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=2, max_size=6))
+    def test_step_denominators_at_least_one_where_probability_nonzero(self, rows):
+        """Where the save probability is nonzero, every step denominator
+        is at least 1: the condition under which it is safe to divide."""
+        spec = S(*rows)
+        if exact_save_probability(spec) != 0:
+            for dens in saveprob._step_denominators(spec):
+                assert all(d >= 1 for d in dens)
 
     @settings(max_examples=60, deadline=None)
     @given(spec_st)

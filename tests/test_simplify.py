@@ -1,5 +1,4 @@
 import importlib
-import json
 from unittest import mock
 
 import numpy as np
@@ -240,23 +239,6 @@ class TestSimpleGraphType:
                 g.degree_triples().tolist(),
             )
         assert got == simple_graph_reference(10, *columns)
-
-
-def test_report_serializes_to_flat_json():
-    r = ErasureReport(1, 2, 3, 4, 5, 6, 7, 8, 9)
-    obj = json.loads(r.to_json())
-    assert list(obj.keys()) == [
-        "unconnected_und",
-        "unconnected_dir",
-        "self_loops_dir",
-        "self_loops_und",
-        "parallel_dir",
-        "parallel_und",
-        "dir_parallel_to_und",
-        "reciprocal_pairs_converted",
-        "modified_vertices",
-    ]
-    assert obj["modified_vertices"] == 9
 
 
 def test_modified_vertices_shrink_with_size():

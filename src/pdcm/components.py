@@ -271,10 +271,9 @@ def _colour_round(indptr, indices, is_open, labels) -> bool:
             break
     else:
         return False
+    # a rise sets moved to at least 2, so the roots, which kept their ids, are still at 1
+    joined = moved == 1
     del moved
-    joined = np.zeros(is_open.size, dtype=bool)
-    for ids in _runs(is_open.size, lambda lo, hi: is_open[lo:hi]):
-        joined[ids[labels[ids] == ids]] = True
     for _ in range(_LEVELS):
         count = np.count_nonzero(joined)
         for rows, counts, heads in _steps(indptr, indices,

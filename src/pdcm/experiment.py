@@ -13,9 +13,10 @@ order: serial and parallel runs write byte-identical CSVs.
 
 Output rows follow metrics.CSV_COLUMNS.  Runs are resumable -- cells
 whose (n, seed) key already appears in the output file are skipped and
-their rows kept verbatim; the file is rewritten sorted by (n, seed).  A
-file holding a row of another model or coupling is refused, since its
-cells are not this run's.
+their rows kept verbatim.  Each computed row is appended to the file as
+it finishes, so a stopped run keeps every row it finished; a run that
+completes rewrites the file sorted by (n, seed).  A file holding a row of
+another model or coupling is refused, since its cells are not this run's.
 """
 from __future__ import annotations
 
@@ -249,11 +250,23 @@ def _read_completed(path, label: str, coupling: str) -> dict:
     return completed
 
 
+def _write_sorted(path, rows: dict) -> None:
+    """Replace the CSV at path, via path.tmp, by the header and sorted rows."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for key in sorted(rows):
+            writer.writerow(rows[key])
+    os.replace(tmp, path)
+
+
 def run_experiment(config: ExperimentConfig, log=None) -> tuple:
-    """Fill in every missing grid cell and rewrite the output CSV.
+    """Fill in every missing grid cell, appending each row to the output
+    CSV as it finishes, and rewrite the CSV sorted.
 
     Returns (ran, skipped) cell counts.  ``log``, if given, is called
-    with one progress line per computed cell.
+    with one progress line per computed cell, after its row is written.
     """
     dist = config.distribution()
     label = model_label(dist)
@@ -262,7 +275,11 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
     pending = [cell for cell in grid if cell not in completed]
 
     rows = dict(completed)
+    # header and kept rows, each line ended, so the appends below start a line
+    _write_sorted(config.output, rows)
     with ExitStack() as stack:
+        out = stack.enter_context(open(config.output, "a", newline="", encoding="utf-8"))
+        writer = csv.writer(out)
         if config.jobs == 1 or len(pending) <= 1:
             results = (run_cell(dist, label, *cell) for cell in pending)
         else:
@@ -275,14 +292,10 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
             results = pool.map(_cell_task, pending)
         for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):
             rows[(n, cs)] = [row[col] for col in CSV_COLUMNS]
+            writer.writerow(rows[(n, cs)])
+            out.flush()
             if log is not None:
                 log(f"[{done}/{len(pending)}] n={n} seed={cs}")
 
-    tmp = str(config.output) + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for key in sorted(rows):
-            writer.writerow(rows[key])
-    os.replace(tmp, config.output)
+    _write_sorted(config.output, rows)
     return len(pending), len(grid) - len(pending)

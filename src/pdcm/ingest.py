@@ -170,20 +170,6 @@ def write_pdgraph(g: SimpleGraph, path) -> None:
         fh.write(b"\n")
 
 
-def _tokenize(body: bytes):
-    """(directed line count, (L, 2) ids) of a body whose every line is
-    canonical, else None.
-
-    The grammar admits D and U only as tags, so the D bytes count the
-    directed lines and one fromstring pass over the untagged body parses
-    all ids.
-    """
-    if _LINES.match(body).end() < len(body):
-        return None
-    ids = np.fromstring(body.translate(None, b"DU"), dtype=np.int64, sep=" ")
-    return body.count(b"D"), ids.reshape(-1, 2)
-
-
 def read_pdgraph(path) -> SimpleGraph:
     """Read a pdgraph file back; exact inverse of write_pdgraph.
 
@@ -222,20 +208,22 @@ def pdgraph_from(fh, header: bytes, path) -> SimpleGraph:
     row = n_dir = 0
     first_u = outside = None  # rows of the first U line and first bad id
     for chunk in slices(fh):
-        tokens = _tokenize(chunk)
-        if tokens is None:
-            lineno, line = line_at(chunk, _LINES.match(chunk).end(), first=row + 2)
+        end = _LINES.match(chunk).end()
+        if end < len(chunk):
+            lineno, line = line_at(chunk, end, first=row + 2)
             raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
                              f"got {line!r}")
-        d, ids = tokens
-        if first_u is None and d < ids.shape[0]:
+        # the grammar admits D and U only as tags, so the D bytes count the D
+        # lines and one fromstring pass over the untagged slice parses all ids
+        ids = np.fromstring(chunk.translate(None, b"DU"), dtype=np.int64, sep=" ").reshape(-1, 2)
+        if first_u is None and b"U" in chunk:
             first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
         bad = (ids > n).any(axis=1)
         if outside is None and bad.any():
             outside = row + int(bad.argmax())
         ids -= 1
         row = append_to(codes, row, encode(ids[:, 0], ids[:, 1], n))
-        n_dir += d
+        n_dir += chunk.count(b"D")
     codes.resize(row, refcheck=False)
     # the D lines lead exactly when the first U line follows all n_dir of them
     if first_u is not None and first_u < n_dir:

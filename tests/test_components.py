@@ -220,6 +220,18 @@ class TestSteps:
         assert _decompose(simple_graph(m, ids, (ids + 1) % m, E, E)) == ["pivot", "scipy"]
         assert _decompose(simple_graph(m, ids[:-1], ids[1:], E, E)) == ["pivot", "scipy"]
 
+    def test_long_pull_cuts_off_the_pivot_search(self):
+        """A chain u_1 -> ... -> u_L -> pivot, and an arc from the pivot to
+        each u_i (to u_L an undirected edge): the forward reach finishes in
+        two levels, but the chain lies in one step, so each pull round
+        joins one vertex, from u_L down, and _LEVELS rounds do not finish."""
+        m = pdcm.components._LEVELS + 2  # L, the chain's length; the pivot is m
+        ids = np.arange(m - 1)
+        g = simple_graph(m + 1, np.concatenate([ids, np.full(m - 1, m)]),
+                         np.concatenate([ids + 1, ids]), [m - 1], [m])
+        assert _decompose(g) == ["pivot", "scipy"]
+        assert strongly_connected_components(g).sizes.tolist() == [m + 1]
+
     def test_long_cycle_cuts_off_a_colouring_round(self):
         """Beside a larger clique, the largest id takes more than _LEVELS
         levels to go round the cycle."""

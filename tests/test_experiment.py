@@ -275,6 +275,45 @@ class TestRunExperiment:
         assert (Path(serial.output).read_bytes()
                 == Path(parallel.output).read_bytes())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stopped_sweep_keeps_its_finished_rows(self, tmp_path, jobs):
+        """A sweep stopped after 3 cells, as by Ctrl-C, has written those 3
+        rows; the rerun finds them present and ends with the bytes of an
+        uninterrupted run."""
+        config = small_config(tmp_path, jobs=jobs)
+
+        def stop_after_three(line):
+            if line.startswith("[3/"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, log=stop_after_three)
+        with open(config.output, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert [(int(r[2]), int(r[3])) for r in rows[1:]] == list(config.grid())[:3]
+        assert run_experiment(config) == (3, 3)
+        fresh = small_config(tmp_path, output=str(tmp_path / "fresh.csv"))
+        run_experiment(fresh)
+        assert Path(config.output).read_bytes() == Path(fresh.output).read_bytes()
+
+    def test_stopped_sweep_after_a_row_without_line_end(self, tmp_path):
+        """A kept last row that lacks its line end, as after a hand edit,
+        is not joined by the next row appended to it."""
+        config = small_config(tmp_path)
+        run_experiment(config)
+        before = Path(config.output).read_bytes()
+        header, row = before.splitlines(keepends=True)[:2]
+        Path(config.output).write_bytes(header + row.rstrip())
+
+        def stop(line):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, log=stop)
+        assert run_experiment(config) == (4, 2)
+        assert Path(config.output).read_bytes() == before
+
     def test_pool_no_larger_than_pending_cells(self, tmp_path, monkeypatch):
         """Under fork every max_workers process starts at the first submit,
         so a resumed run with two cells left asks for two workers."""

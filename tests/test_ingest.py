@@ -5,6 +5,7 @@ import os
 import re
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from pdcm.ingest import (
     ParseError,
     _classify,
     _densify,
-    _tokenize,
     ingest_path,
     parse_edge_list,
+    pdgraph_from,
     read_pdgraph,
     to_partially_directed,
     write_pdgraph,
@@ -330,17 +331,31 @@ class TestPdgraphRoundTrip:
         st.builds(edit_line, CANONICAL_LINE, st.integers(0, 24), st.sampled_from(
             ["", " ", "\t", "\n", "D", "U", "0", "7", "+", "x", "#"])),
     ), max_size=6))
-    def test_tokenizer_takes_exactly_the_line_grammar(self, rows):
-        """The one-pass tokenizer accepts a body exactly when every line
-        matches the canonical line grammar, and then returns its ids."""
+    def test_reader_takes_exactly_the_line_grammar(self, rows):
+        """pdgraph_from parses a body exactly when every line matches the
+        canonical line grammar, and then encodes its ids; else it names the
+        first line that does not, and encodes nothing.  The layout checks
+        run after the body is parsed, so ids outside 1..n and blocks out of
+        order still reach the encoder."""
         body = "".join(row + "\n" for row in rows).encode()
         lines = body.split(b"\n")[:-1]
-        tokens = _tokenize(body)
-        grammatical = all(LINE.fullmatch(line) for line in lines)
-        assert (tokens is not None) == grammatical
-        if grammatical:
-            assert tokens[1].tolist() == [
-                [int(x) for x in line.split()[1:]] for line in lines]
+        bad = [i for i, line in enumerate(lines) if not LINE.fullmatch(line)]
+        error = None
+        with mock.patch.object(ingest, "encode", wraps=ingest.encode) as encode:
+            try:
+                pdgraph_from(io.BytesIO(body), b"# pdgraph n=3\n", "body")
+            except ParseError as exc:
+                error = str(exc)
+        if bad:
+            line = lines[bad[0]].decode()
+            assert error == (f"body: line {bad[0] + 2}: expected 'D u v' or 'U u v', "
+                             f"got {line!r}")
+            assert not encode.called
+        else:
+            assert error is None or "expected 'D u v'" not in error
+            ids = [pair for call in encode.call_args_list
+                   for pair in (np.stack(call.args[:2], axis=1) + 1).tolist()]
+            assert ids == [[int(x) for x in line.split()[1:]] for line in lines]
 
     def test_vertex_count_checked_at_entry(self, tmp_path):
         path = tmp_path / "huge.pdgraph"
@@ -505,6 +520,23 @@ class TestIntRowSlices:
         chunks = list(degrees.slices(stream_of(b"12 34\n5 6\r\n\n789 1011\n1 2", gzipped)))
         assert chunks == [b"12 34\n", b"5 6\r\n", b"\n789 1011\n", b"1 2\n"]
         assert list(degrees.slices(io.BytesIO(b""))) == []
+
+
+# lines over the row grammar's alphabet, in pieces that make ids, blanks
+# and comments likely: digits, the longest id, space, tab, '#', CR, LF, a letter
+ROW_TEXT = st.lists(st.lists(st.sampled_from(["7", "42", "9" * 18, " ", "\t", "#", "\r", "\n",
+                                              "x"]), max_size=8).map("".join),
+                    max_size=6).map(lambda lines: "".join(line + "\n" for line in lines).encode())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([2, 3]), ROW_TEXT)
+def test_row_grammar_written_out_matches_the_repeated_group(width, body):
+    """degrees._ROWS writes the ids after the first out: on any body over
+    the grammar's alphabet it stops where the {width - 1} repetition does."""
+    repeated = re.compile(rb"(?:[ \t]*+(?:[0-9]{1,18}+(?:[ \t]++[0-9]{1,18}+){%d}"
+                          rb"[ \t]*+)?+(?:#[^\n]*+)?+\r?\n)*+" % (width - 1))
+    assert degrees._ROWS[width].match(body).end() == repeated.match(body).end()
 
 
 def test_parse_edge_list_memory_is_bounded():

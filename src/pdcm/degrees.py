@@ -131,6 +131,33 @@ def _poisson_pmf_upto(lam: float, kmax: int) -> np.ndarray:
     return np.array(p)
 
 
+# stirlerr(k) = lgamma(k + 1) - (k + 1/2) log k + k - log sqrt(2 pi) for
+# k = 1..15; k = 0 has p_0 = e^-lam instead
+_STIRLERR = np.array([0.0] + [math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k
+                              - 0.5 * math.log(2 * math.pi) for k in range(1, 16)])
+
+
+def _poisson_pmf_saddle(lam: float, k: np.ndarray) -> np.ndarray:
+    """p_k at each k by Loader's saddle-point form ("Fast and Accurate
+    Computation of Binomial Probabilities", 2000): p_0 = e^-lam, else
+    exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k), whose terms do not cancel."""
+    x = np.maximum(k, 1).astype(np.float64)
+    d = x - lam
+    bd0 = x * np.log(x / lam) - d
+    # near lam, k log(k/lam) + lam - k cancels: sum its series in v = d/(k + lam)
+    near = np.abs(d) < 0.1 * (x + lam)
+    v = d[near] / (x[near] + lam)
+    s, term, j, last = d[near] * v, 2 * x[near] * v, 1, None
+    while not np.array_equal(s, last):
+        term, j, last = term * v * v, j + 2, s
+        s = s + term / j
+    bd0[near] = s
+    x2 = np.maximum(x, 16) ** -2
+    stirlerr = np.where(x < 16, _STIRLERR[np.minimum(k, 15)], np.sqrt(x2) * (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - x2 / 1188) * x2) * x2) * x2))
+    return np.where(k == 0, math.exp(-lam), np.exp(-stirlerr - bd0) / np.sqrt(2 * math.pi * x))
+
+
 def _scale_free_pmf(gamma: float, k: np.ndarray) -> np.ndarray:
     """p_k = S(k-1) - S(k) for array k, zero at k = 0; as S(k) times
     expm1/log1p of S(k-1)/S(k), so no digits cancel deep in the tail."""
@@ -339,11 +366,8 @@ def _univariate_pmf(dist: JointDegreeDistribution, k: np.ndarray) -> np.ndarray:
     if dist.kind == "scale_free":
         return _scale_free_pmf(dist.gamma, k)
     if math.exp(-dist.lam) < np.finfo(np.float64).tiny:
-        # the recurrence would start from a subnormal or zero p_0, so take
-        # log p_k = k log(lam) - lam - lgamma(k + 1) at each queried k
-        from scipy.special import gammaln
-
-        return np.exp(k * math.log(dist.lam) - dist.lam - gammaln(k + 1))
+        # the recurrence would start from a subnormal or zero p_0
+        return _poisson_pmf_saddle(dist.lam, k)
     p = _poisson_pmf_upto(dist.lam, int(k.max()) if k.size else 0)
     return np.where(k < p.size, p[np.minimum(k, p.size - 1)], 0.0)
 

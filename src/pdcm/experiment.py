@@ -289,6 +289,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(pending)), initializer=_init_worker,
                 initargs=(dist, label)))
+            # unwound first: a stop cancels the queued cells, then waits for the running
+            stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_cell_task, pending)
         for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):
             rows[(n, cs)] = [row[col] for col in CSV_COLUMNS]

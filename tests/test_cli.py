@@ -676,6 +676,41 @@ def test_components_loads_scipy_sparse_only_without_a_giant_or_on_a_cut_off(tmp_
     assert loaded["experiment-pool"]["pool"]
 
 
+_PACKAGE_PROBE = """
+import json, sys, types
+
+import pdcm
+bare = "numpy" in sys.modules
+import pdcm.simplify
+simplify_is_module = isinstance(pdcm.simplify, types.ModuleType)
+from pdcm import cli
+print(json.dumps([bare, simplify_is_module,
+                  sorted(m for m in sys.modules if m.startswith("pdcm."))]))
+"""
+
+
+def test_package_forwards_no_names():
+    """The package re-exports nothing: a bare import loads no numpy,
+    pdcm.simplify stays the module, and the cli loads every layer."""
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, [
+        f"pdcm.{m}" for m in ("cli", "components", "degrees", "experiment", "ingest",
+                              "matching", "metrics", "rng", "saveprob", "simplify")]]
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Library code block runs as written, so its imports
+    follow the modules."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    modified, d_tv = capsys.readouterr().out.split()
+    assert int(modified) > 0 and 0.0 < float(d_tv) < 1.0
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

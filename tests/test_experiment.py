@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,36 @@ class TestRunExperiment:
         run_experiment(fresh)
         assert Path(config.output).read_bytes() == Path(fresh.output).read_bytes()
 
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="the workers must inherit the counting run_cell")
+    def test_stopped_pool_sweep_cancels_its_queued_cells(self, tmp_path, monkeypatch):
+        """A 12-cell --jobs 2 sweep stopped at its first row computes the
+        finished, running and already dispatched cells, not the other
+        queued ones; the rerun ends with the bytes of an uninterrupted run."""
+        tally = tmp_path / "cells.txt"
+
+        def counted_cell(*args):
+            row = run_cell(*args)
+            with open(tally, "a") as fh:
+                fh.write(f"{args[-1]}\n")
+            return row
+
+        # installed before the pool forks, so its workers compute through it
+        monkeypatch.setattr("pdcm.experiment.run_cell", counted_cell)
+        config = small_config(tmp_path, sizes=(10**5,), replicates=12, jobs=2)
+
+        def stop(line):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, log=stop)
+        assert 1 <= len(tally.read_text().split()) <= 8
+        run_experiment(config)
+        fresh = small_config(tmp_path, sizes=(10**5,), replicates=12,
+                             output=str(tmp_path / "fresh.csv"))
+        run_experiment(fresh)
+        assert Path(config.output).read_bytes() == Path(fresh.output).read_bytes()
+
     def test_stopped_sweep_after_a_row_without_line_end(self, tmp_path):
         """A kept last row that lacks its line end, as after a hand edit,
         is not joined by the next row appended to it."""
@@ -329,6 +360,9 @@ class TestRunExperiment:
 
             def __exit__(self, *exc):
                 return False
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
             def map(self, fn, tasks):
                 return map(fn, tasks)

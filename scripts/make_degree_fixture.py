@@ -21,6 +21,8 @@ from pdcm.rng import derive_seed, make_generator
 SEED = 20260815
 N = 10_000
 OUT = Path(__file__).parent.parent / "data" / "degrees_10k.txt"
+HEADER = ("# joint degree file: in out und, one vertex per line\n",
+          f"# {N} vertices, regenerate with scripts/make_degree_fixture.py\n")
 
 
 def build() -> np.ndarray:
@@ -38,8 +40,7 @@ def main() -> int:
     deg = build()
     means = deg.mean(axis=0)
     with open(OUT, "w") as fh:
-        fh.write("# joint degree file: in out und, one vertex per line\n")
-        fh.write(f"# {N} vertices, regenerate with scripts/make_degree_fixture.py\n")
+        fh.writelines(HEADER)
         np.savetxt(fh, deg, fmt="%d")
     print(f"wrote {OUT}")
     print(f"  means in/out/und = {means[0]:.3f}/{means[1]:.3f}/{means[2]:.3f}")

@@ -159,11 +159,11 @@ def _poisson_pmf_saddle(lam: float, k: np.ndarray) -> np.ndarray:
 
 
 def _scale_free_pmf(gamma: float, k: np.ndarray) -> np.ndarray:
-    """p_k = S(k-1) - S(k) for array k, zero at k = 0; as S(k) times
-    expm1/log1p of S(k-1)/S(k), so no digits cancel deep in the tail."""
+    """p_k = S(k-1) - S(k) for array k, zero at k = 0; as S(k-1) times 1 - S(k)/S(k-1)
+    by expm1/log1p: no digits cancel deep in the tail, no factor overflows at any gamma."""
     d = scale_free_offset(gamma)
     kk = np.maximum(np.asarray(k, dtype=np.float64), 1.0)
-    p = scale_free_sf(gamma, kk) * np.expm1((gamma - 1.0) * np.log1p(1.0 / (kk - 1.0 + d)))
+    p = scale_free_sf(gamma, kk - 1.0) * -np.expm1((1.0 - gamma) * np.log1p(1.0 / (kk - 1.0 + d)))
     return np.where(np.asarray(k) >= 1, p, 0.0)
 
 

@@ -286,10 +286,10 @@ def run_experiment(config: ExperimentConfig, log=None) -> tuple:
             # imported here so that a run without a pool never loads multiprocessing;
             # the fork start method launches every worker at the first submit
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(pending)), initializer=_init_worker,
-                initargs=(dist, label)))
-            # unwound first: a stop cancels the queued cells, then waits for the running
+                initargs=(dist, label))
+            # its one shutdown, also at a stop: cancels the queued cells, waits for the running
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_cell_task, pending)
         for done, ((n, cs), row) in enumerate(zip(pending, results), start=1):

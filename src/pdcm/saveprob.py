@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .degrees import DegreeSequence, load_degree_file
 from .matching import match_stubs_union
 from .rng import derive_seed, make_generator
@@ -83,9 +85,10 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
         prod over others  (1 + a*out_j + b*in_j + c*und_j),
 
     i.e. a sum over disjoint index subsets of the matching-degree
-    products, with the factorials restoring the orderings.  C is built
-    by a knapsack-style pass over the other vertices; everything stays
-    in exact integer / rational arithmetic.
+    products, with the factorials restoring the orderings.  C is the
+    product truncated to degree (d_in, d_out, d_und): one array of
+    coefficients, multiplied by one factor per other vertex; everything
+    stays in exact integer / rational arithmetic.
 
     Returns a Fraction in [0, 1].  Degenerate inputs (more target stubs
     than available vertices or matching stubs) have a zero numerator and
@@ -93,37 +96,25 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     every denominator is at least 1, so no input divides by zero.
     """
     (d_in, d_out, d_und), others = _split(seq)
-    if d_in + d_out + d_und > len(others):
-        return Fraction(0)
-
-    # coef[x][y][z] = sum over disjoint subsets A, B, C of the others
-    # (|A| = x, |B| = y, |C| = z) of prod(out_A) * prod(in_B) * prod(und_C).
-    coef = [[[0] * (d_und + 1) for _ in range(d_out + 1)]
-            for _ in range(d_in + 1)]
-    coef[0][0][0] = 1
+    # coef[x, y, z] = sum over disjoint subsets A, B, C of the others so far (|A| = x,
+    # |B| = y, |C| = z) of prod(out_A) * prod(in_B) * prod(und_C), as Python ints
+    coef = np.zeros((d_in + 1, d_out + 1, d_und + 1), dtype=object)
+    coef[0, 0, 0] = 1
     for o_in, o_out, o_und in others:
-        for x in range(d_in, -1, -1):
-            for y in range(d_out, -1, -1):
-                for z in range(d_und, -1, -1):
-                    base = coef[x][y][z]
-                    if base == 0:
-                        continue
-                    # each vertex may serve at most one tagged stub,
-                    # so it extends exactly one of the three subsets
-                    if x < d_in and o_out:
-                        coef[x + 1][y][z] += base * o_out
-                    if y < d_out and o_in:
-                        coef[x][y + 1][z] += base * o_in
-                    if z < d_und and o_und:
-                        coef[x][y][z + 1] += base * o_und
+        # every shift reads coef as it was before this vertex, so the vertex
+        # extends at most one of the three subsets: it serves one tagged stub
+        grown = coef.copy()
+        grown[1:] += coef[:-1] * o_out
+        grown[:, 1:] += coef[:, :-1] * o_in
+        grown[:, :, 1:] += coef[:, :, :-1] * o_und
+        coef = grown
 
     numerator = (math.factorial(d_in) * math.factorial(d_out)
-                 * math.factorial(d_und) * coef[d_in][d_out][d_und])
+                 * math.factorial(d_und) * coef[d_in, d_out, d_und])
     if numerator == 0:
         return Fraction(0)
     den_in, den_out, den_und = _step_denominators(seq)
-    return Fraction(numerator, math.prod(den_in) * math.prod(den_out)
-                    * math.prod(den_und))
+    return Fraction(numerator, math.prod(den_in + den_out + den_und))
 
 
 def monte_carlo_save_frequency(seq: DegreeSequence, replicates: int,

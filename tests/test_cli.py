@@ -1,5 +1,6 @@
 """Front-end behaviour: flags, exit codes, output files, determinism."""
 
+import csv
 import gzip
 import hashlib
 import json
@@ -248,6 +249,19 @@ class TestExperiment:
                             "--seed", "1", "--output", str(out))
         assert rc == 0
         assert "[1/2] n=20" in stdout and "[2/2] n=20" in stdout
+
+    def test_scale_free_at_large_gamma_has_finite_d_tv(self, tmp_path, capsys):
+        """gamma = 2000 puts almost all mass on degree 1; its tail
+        probabilities once came out nan and so did d_tv."""
+        out = tmp_path / "m.csv"
+        rc, _, _ = run(capsys, "experiment", "--model", "scale_free",
+                       "--gamma", "2000", "--coupling", "independent",
+                       "--sizes", "20", "--replicates", "1", "--seed", "1",
+                       "--output", str(out), "--quiet")
+        assert rc == 0
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert math.isfinite(float(row["d_tv"]))
 
     @pytest.mark.parametrize("other", [
         ("--model", "scale_free", "--gamma", "2.5", "--coupling", "dependent"),

@@ -1,5 +1,7 @@
 import math
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,24 @@ class TestScaleFreeLaw:
                 rel = [abs(mp.mpf(float(x)) / r - 1) for x, r in zip(p, ref)]
             assert max(rel) < 1e-14, (gamma, [float(r) for r in rel])
         assert _scale_free_pmf(2.5, np.array([0]))[0] == 0.0
+
+    @pytest.mark.parametrize("gamma", [800.0, 1100.0, 2000.0])
+    def test_pmf_at_large_gamma(self, gamma):
+        """Where S(k) underflows, S(k) * expm1(s log1p(...)) formed 0 * inf:
+        nan from gamma ~ 1100, and 0 for p_2 = 1.05e-242 at gamma = 800.
+        Compared wherever the true value is a normal double; the relative
+        error grows with |log p_k| (about 560 at p_2, gamma = 800)."""
+        mp = pytest.importorskip("mpmath")
+        ks = np.array([1, 2, 3, 10, 10**3, 10**6, 10**12])
+        p = _scale_free_pmf(gamma, ks)
+        assert np.isfinite(p).all()
+        with mp.workdps(50):
+            d, s = mp.mpf(scale_free_offset(gamma)), mp.mpf(gamma) - 1
+            ref = [(d / (k - 1 + d)) ** s - (d / (k + d)) ** s for k in ks.tolist()]
+            normal = [r >= np.finfo(np.float64).tiny for r in ref]
+            rel = [float(abs(mp.mpf(float(x)) / r - 1))
+                   for x, r, ok in zip(p, ref, normal) if ok]
+        assert normal[0] and max(rel) < 1e-13, rel
 
 
 class TestQuantile:
@@ -421,6 +441,18 @@ def test_load_degree_file(tmp_path):
     )
     arr = load_degree_file(path)
     assert arr.tolist() == [[1, 2, 3], [0, 0, 0]]
+
+
+def test_fixture_script_reproduces_degree_file():
+    """scripts/make_degree_fixture.py still builds data/degrees_10k.txt, rows
+    and header, so a change to the scale-free stream cannot leave the bundled
+    file behind unnoticed.  run_path does not run main(), which writes it."""
+    root = Path(__file__).parents[1]
+    script = runpy.run_path(str(root / "scripts" / "make_degree_fixture.py"))
+    path = root / "data" / "degrees_10k.txt"
+    assert np.array_equal(script["build"](), load_degree_file(path))
+    with open(path, encoding="utf-8") as fh:
+        assert tuple(fh.readline() for _ in script["HEADER"]) == script["HEADER"]
 
 
 def test_pdgraph_style_comment_is_a_degree_file(tmp_path):

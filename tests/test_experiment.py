@@ -355,12 +355,6 @@ class TestRunExperiment:
                 sizes.append(max_workers)
                 initializer(*initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
 

@@ -403,8 +403,8 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ParseError(ValueError):
-    """Malformed input; the message reads "<path>: line N: <what>", or
-    "<path>: <what>" for a broken compressed stream."""
+    """Malformed input: "line N: <what>" from a reader, to which the opener
+    of the file adds its path, or "<path>: <what>" for a broken gzip stream."""
 
 
 # the longest run of well-formed lines from the start of a body of rows of
@@ -435,41 +435,32 @@ def slices(fh, head: bytes = b""):
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def append_to(buf: np.ndarray, used: int, values: np.ndarray) -> int:
-    """Write values at buf[used:], doubling buf in place when it is full,
-    and return the new fill."""
-    end = used + values.size
-    if end > buf.size:
-        buf.resize(max(end, 2 * buf.size), refcheck=False)
-    buf[used:end] = values
-    return end
-
-
-def line_at(body: bytes, start: int, first: int = 1) -> tuple[int, str]:
-    """Number and text of the line that begins at byte offset start of a
-    newline-terminated body whose first line is number first."""
-    return (body.count(b"\n", 0, start) + first,
-            body[start:body.index(b"\n", start)].decode("utf-8", "replace"))
+def checked_slices(fh, grammar, expected: str, head: bytes = b"", first: int = 1):
+    """Each slice of slices(fh, head) with the number of its first line,
+    the first being number first, once grammar takes the slice whole;
+    else ParseError naming the first line it does not take."""
+    for chunk in slices(fh, head):
+        end = grammar.match(chunk).end()
+        if end < len(chunk):
+            first += chunk.count(b"\n", 0, end)
+            line = chunk[end:chunk.index(b"\n", end)].decode("utf-8", "replace")
+            raise ParseError(f"line {first}: expected {expected}, got {line!r}")
+        yield chunk, first
+        first += chunk.count(b"\n")
 
 
 def read_int_rows(fh, width: int, head: bytes = b"") -> np.ndarray:
     """The (m, width) int64 rows of head and then the rest of a binary
     stream, whose every slice _ROWS[width] takes whole, else ParseError
     naming the first line it does not take."""
-    ids, used, lines = np.empty(0, dtype=np.int64), 0, 0
-    for chunk in slices(fh, head):
-        end = _ROWS[width].match(chunk).end()
-        if end < len(chunk):
-            lineno, line = line_at(chunk, end, first=lines + 1)
-            raise ParseError(f"line {lineno}: expected {('two', 'three')[width - 2]} "
-                             f"integers, non-negative and below 10^18, got {line!r}")
-        lines += chunk.count(b"\n")
+    parts = [np.empty(0, dtype=np.int64)]
+    expected = f"{('two', 'three')[width - 2]} integers, non-negative and below 10^18"
+    for chunk, _ in checked_slices(fh, _ROWS[width], expected, head):
         if b"#" in chunk:
             chunk = re.sub(rb"#[^\n]*+", b"", chunk)
         if re.search(rb"[0-9]", chunk):  # fromstring reads b"\n" as [0]
-            used = append_to(ids, used, np.fromstring(chunk, dtype=np.int64, sep=" "))
-    ids.resize(used, refcheck=False)
-    return ids.reshape(-1, width)
+            parts.append(np.fromstring(chunk, dtype=np.int64, sep=" "))
+    return np.concatenate(parts).reshape(-1, width)
 
 
 def load_degree_file(path) -> np.ndarray:
@@ -484,12 +475,13 @@ def load_degree_file(path) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         head = fh.readline()
-        if head.startswith(b"# pdgraph n="):
-            from .ingest import pdgraph_from
-
-            return pdgraph_from(fh, head, path).degree_triples().copy()
         try:
-            rows = read_int_rows(fh, 3, head)
+            if head.startswith(b"# pdgraph n="):
+                from .ingest import pdgraph_from
+
+                rows = pdgraph_from(fh, head).degree_triples().copy()
+            else:
+                rows = read_int_rows(fh, 3, head)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not rows.size:

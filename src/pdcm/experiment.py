@@ -150,24 +150,37 @@ def _config_value(key: str, value: str):
     return _checked(key, value)
 
 
+def _read_text(path, newline) -> io.StringIO:
+    """The file at path decoded as UTF-8, its lines split as open() with
+    this newline splits them; a byte that is not UTF-8 is a ValueError
+    naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at LF, CRLF and CR alone, as both readers do
+        lineno = len(data[:exc.start + 1].splitlines())
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; later keys win.
     Values are checked where their line is known, and kept as strings."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not key or not value:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            try:
-                _config_value(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
-            mapping[key] = value
+    for lineno, raw in enumerate(_read_text(path, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq or not key or not value:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        try:
+            _config_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
+        mapping[key] = value
     return mapping
 
 
@@ -223,14 +236,7 @@ def _read_completed(path, label: str, coupling: str) -> dict:
     completed = {}
     if not os.path.exists(path):
         return completed
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_read_text(path, newline=""))
     header = next(reader, None)
     if header != list(CSV_COLUMNS):
         raise ValueError(

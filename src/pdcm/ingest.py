@@ -12,9 +12,9 @@ of "D u v" directed lines, then a sorted block of "U u v" undirected lines
 with u < v.  File ids are 1-based; in memory vertices are 0..n-1.  The
 reader accepts exactly this canonical form and nothing else.
 
-Neither reader holds its text whole: both parse the newline-aligned
-slices of degrees.slices, about 1 MiB each (of a gzipped edge list, as it
-is decompressed), straight into one growing id or pair-code array.
+Neither reader holds its text whole: each parses the newline-aligned
+1 MiB slices of degrees.checked_slices (of a gzipped list, as it is
+decompressed) into one id or pair-code array per slice, joined once.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrees import (ParseError, append_to, check_vertex_count, line_at,
-                      read_int_rows, slices)
+from .degrees import ParseError, check_vertex_count, checked_slices, read_int_rows
 from .matching import encode
 from .metrics import proportion_directed
 from .simplify import SimpleGraph, canonical_violation, resolve_arcs, run_starts, squeeze
@@ -182,20 +181,23 @@ def read_pdgraph(path) -> SimpleGraph:
     no reciprocal arc pair and no arc parallel to an undirected edge.  Any
     other file raises ParseError naming the offending line.
 
-    The body is read and tokenised in the newline-aligned slices of
-    degrees.slices, each encoded straight into one pair-code array that
-    grows in place; the layout checks run on that array alone.
+    The body is tokenised in the slices of degrees.checked_slices, each
+    encoded into a pair-code array of its own; these are joined once, and
+    the layout checks run on the joined array alone.
     """
     with open(path, "rb") as fh:
-        return pdgraph_from(fh, fh.readline(), path)
+        try:
+            return pdgraph_from(fh, fh.readline())
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
-def pdgraph_from(fh, header: bytes, path) -> SimpleGraph:
+def pdgraph_from(fh, header: bytes) -> SimpleGraph:
     """read_pdgraph on the rest of a binary stream whose first line,
-    already read from it, is header; path names the stream in errors."""
+    already read from it, is header; errors as "line N: <what>"."""
     header = header.decode("utf-8", "replace").rstrip("\n")
     if not header.startswith("# pdgraph n="):
-        raise ParseError(f"{path}: line 1: missing '# pdgraph n=<n>' header")
+        raise ParseError("line 1: missing '# pdgraph n=<n>' header")
     count = header[len("# pdgraph n="):]
     try:
         if not re.fullmatch(r"0|[1-9][0-9]*", count):
@@ -203,36 +205,32 @@ def pdgraph_from(fh, header: bytes, path) -> SimpleGraph:
         n = int(count)
         check_vertex_count(n)
     except ValueError as exc:
-        raise ParseError(f"{path}: line 1: bad vertex count: {exc}") from None
-    codes = np.empty(0, dtype=np.int64)
-    row = n_dir = 0
-    first_u = outside = None  # rows of the first U line and first bad id
-    for chunk in slices(fh):
-        end = _LINES.match(chunk).end()
-        if end < len(chunk):
-            lineno, line = line_at(chunk, end, first=row + 2)
-            raise ParseError(f"{path}: line {lineno}: expected 'D u v' or 'U u v', "
-                             f"got {line!r}")
+        raise ParseError(f"line 1: bad vertex count: {exc}") from None
+    parts = [np.empty(0, dtype=np.int64)]
+    n_dir = 0
+    first_u = outside = None  # lines of the first U line and first bad id
+    for chunk, line in checked_slices(fh, _LINES, "'D u v' or 'U u v'", first=2):
         # the grammar admits D and U only as tags, so the D bytes count the D
         # lines and one fromstring pass over the untagged slice parses all ids
         ids = np.fromstring(chunk.translate(None, b"DU"), dtype=np.int64, sep=" ").reshape(-1, 2)
         if first_u is None and b"U" in chunk:
-            first_u = row + chunk.count(b"\n", 0, chunk.find(b"U"))
+            first_u = line + chunk.count(b"\n", 0, chunk.find(b"U"))
         bad = (ids > n).any(axis=1)
         if outside is None and bad.any():
-            outside = row + int(bad.argmax())
+            outside = line + int(bad.argmax())
         ids -= 1
-        row = append_to(codes, row, encode(ids[:, 0], ids[:, 1], n))
+        parts.append(encode(ids[:, 0], ids[:, 1], n))
         n_dir += chunk.count(b"D")
-    codes.resize(row, refcheck=False)
-    # the D lines lead exactly when the first U line follows all n_dir of them
-    if first_u is not None and first_u < n_dir:
-        raise ParseError(f"{path}: line {first_u + 2}: U line before a D line")
+    codes = np.concatenate(parts)
+    del parts
+    # the D lines, 2..n_dir + 1, lead exactly when the first U line follows them
+    if first_u is not None and first_u <= n_dir + 1:
+        raise ParseError(f"line {first_u}: U line before a D line")
     if outside is not None:
-        raise ParseError(f"{path}: line {outside + 2}: vertex id outside 1..{n}")
+        raise ParseError(f"line {outside}: vertex id outside 1..{n}")
     bad = canonical_violation(n, codes[:n_dir], codes[n_dir:])
     if bad:
         message, block, row = bad
         lineno = row + 2 + (n_dir if block == "U" else 0)
-        raise ParseError(f"{path}: line {lineno}: {message}")
+        raise ParseError(f"line {lineno}: {message}")
     return SimpleGraph(n, codes[:n_dir], codes[n_dir:])

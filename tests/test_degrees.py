@@ -469,8 +469,9 @@ def test_pdgraph_style_comment_is_a_degree_file(tmp_path):
     (b"\n", "no degree triples"),
     (b"1 2 3\n# c\n0 0 1234567890123456789\n", "line 3: .*below 10\\^18"),
     (b"1 2 3\n1 2 3 4\n", "line 2: expected three integers"),
+    (b"# pdgraph n=0\n", "degrees.txt: no degree triples"),
 ], ids=["crlf", "no-final-newline", "comments-and-blanks", "one-blank-line",
-        "19-digit-degree", "four-fields"])
+        "19-digit-degree", "four-fields", "empty-pdgraph"])
 def test_load_degree_file_layouts(tmp_path, body, expected):
     path = tmp_path / "degrees.txt"
     path.write_bytes(body)

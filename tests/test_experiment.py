@@ -178,6 +178,18 @@ class TestConfigFile:
             parse_config_file(p)
         assert str(exc.value) == f"{p}: line 2: {what}"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, end):
+        """A byte that is not UTF-8 is refused with its file and line,
+        whichever line end the file uses; without it the file reads."""
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(f"model = poisson{end}seed = 1".encode() + b"\xff" + end.encode())
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(p)
+        assert str(exc.value).startswith(f"{p}: line 2: 'utf-8' codec can't decode byte 0xff")
+        p.write_bytes(f"model = poisson{end}seed = 1{end}".encode())
+        assert parse_config_file(p) == {"model": "poisson", "seed": "1"}
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("just words\n")

@@ -302,16 +302,16 @@ class TestPdgraphRoundTrip:
         ]
 
     def test_reader_errors(self, tmp_path):
+        """Each error names the file once, then the line; load_degree_file,
+        which takes a pdgraph too, gives a pdgraph the same message."""
         path = tmp_path / "bad.pdgraph"
         path.write_text("not a header\n")
-        with pytest.raises(ParseError, match="header"):
-            read_pdgraph(path)
-        path.write_text("# pdgraph n=2\nD 1 5\n")
-        with pytest.raises(ParseError, match="line 2"):
-            read_pdgraph(path)
-        path.write_text("# pdgraph n=2\nX 1 2\n")
-        with pytest.raises(ParseError, match="line 2"):
-            read_pdgraph(path)
+        assert "header" in named_once(path, read_error(path))
+        assert "three integers" in named_once(path, read_error(path, load_degree_file))
+        for body in ("# pdgraph n=2\nD 1 5\n", "# pdgraph n=2\nX 1 2\n"):
+            path.write_text(body)
+            assert named_once(path, read_error(path)).startswith(f"{path}: line 2: ")
+            assert read_error(path, load_degree_file) == read_error(path)
 
     @pytest.mark.parametrize("body,where,what", NON_CANONICAL)
     def test_rejects_non_canonical_form(self, tmp_path, body, where, what):
@@ -322,8 +322,9 @@ class TestPdgraphRoundTrip:
         path = tmp_path / "bad.pdgraph"
         header = "" if body.startswith("# pdgraph") else "# pdgraph n=3\n"
         path.write_text(header + body)
-        with pytest.raises(ParseError, match=f"{where}: .*{what}"):
-            read_pdgraph(path)
+        message = named_once(path, read_error(path))
+        assert re.search(f"{where}: .*{what}", message)
+        assert read_error(path, load_degree_file) == message
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -343,12 +344,12 @@ class TestPdgraphRoundTrip:
         error = None
         with mock.patch.object(ingest, "encode", wraps=ingest.encode) as encode:
             try:
-                pdgraph_from(io.BytesIO(body), b"# pdgraph n=3\n", "body")
+                pdgraph_from(io.BytesIO(body), b"# pdgraph n=3\n")
             except ParseError as exc:
                 error = str(exc)
         if bad:
             line = lines[bad[0]].decode()
-            assert error == (f"body: line {bad[0] + 2}: expected 'D u v' or 'U u v', "
+            assert error == (f"line {bad[0] + 2}: expected 'D u v' or 'U u v', "
                              f"got {line!r}")
             assert not encode.called
         else:
@@ -366,10 +367,17 @@ class TestPdgraphRoundTrip:
             _classify(np.zeros((0, 2), dtype=np.int64), 2**31 + 1)
 
 
-def read_error(path) -> str:
+def read_error(path, reader=read_pdgraph) -> str:
     with pytest.raises(ParseError) as exc:
-        read_pdgraph(path)
+        reader(path)
     return str(exc.value)
+
+
+def named_once(path, message: str) -> str:
+    """message, checked to open with the path and a line number and to
+    name the path nowhere else."""
+    assert message.startswith(f"{path}: line ") and message.count(str(path)) == 1
+    return message
 
 
 # 3 bytes is shorter than any line, so every slice is one line; 20 bytes

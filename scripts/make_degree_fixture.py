@@ -28,12 +28,12 @@ HEADER = ("# joint degree file: in out und, one vertex per line\n",
 def build() -> np.ndarray:
     directed = JointDegreeDistribution.scale_free(2.5, "independent")
     light = JointDegreeDistribution.scale_free(3.5, "independent")
-    in_deg = sample_sequence(directed, N, derive_seed(SEED, 0)).in_deg.copy()
-    out_deg = in_deg[make_generator(derive_seed(SEED, 1)).permutation(N)]
-    und_deg = sample_sequence(light, N, derive_seed(SEED, 2)).und_deg.copy()
-    if und_deg.sum() % 2:
-        und_deg[0] += 1
-    return np.column_stack([in_deg, out_deg, und_deg])
+    d_in = sample_sequence(directed, N, derive_seed(SEED, 0)).triples[:, 0].copy()
+    d_out = d_in[make_generator(derive_seed(SEED, 1)).permutation(N)]
+    d_und = sample_sequence(light, N, derive_seed(SEED, 2)).triples[:, 2].copy()
+    if d_und.sum() % 2:
+        d_und[0] += 1
+    return np.column_stack([d_in, d_out, d_und])
 
 
 def main() -> int:

@@ -1,6 +1,6 @@
 """Joint degree distributions and degree-sequence sampling.
 
-A vertex degree is a triple (in_deg, out_deg, und_deg) counting incoming,
+A vertex degree is a triple (in, out, und) counting incoming,
 outgoing and undirected edge stubs.  Three families of joint distributions
 over triples are supported:
 
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -206,6 +206,14 @@ class JointDegreeDistribution:
         else:
             check_lambda(self.lam)
 
+    @cached_property
+    def atom_table(self):
+        """An empirical law's distinct rows, sorted, and their probabilities
+        count / m; built on first use and kept on the law (cached_property
+        writes the instance __dict__, which the frozen dataclass allows)."""
+        atoms, counts = distinct_rows(self.triples)
+        return atoms, counts / self.triples.shape[0]
+
     @classmethod
     def empirical(cls, triples, coupling: str) -> "JointDegreeDistribution":
         return cls(kind="empirical", coupling=coupling, triples=np.asarray(triples))
@@ -221,9 +229,13 @@ class JointDegreeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class DegreeSequence:
-    """n degree triples, stored as an (n, 3) int64 array (in, out, und)."""
+    """n degree triples, stored as an (n, 3) int64 array (in, out, und),
+    and the exact stub total of each column, set once at construction."""
 
     triples: np.ndarray
+    s_in: int = field(init=False)
+    s_out: int = field(init=False)
+    s_und: int = field(init=False)
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.triples, dtype=np.int64)
@@ -232,42 +244,18 @@ class DegreeSequence:
         if (t < 0).any():
             raise ValueError("degrees must be non-negative")
         object.__setattr__(self, "triples", t)
+        for name, c in zip(("s_in", "s_out", "s_und"), t.T):
+            # the int64 sum cannot wrap while n * max < 2^63; past that
+            # the total is taken over Python ints
+            if t.shape[0] * int(c.max()) < 2**63:
+                total = int(c.sum())
+            else:
+                total = sum(c.tolist())
+            object.__setattr__(self, name, total)
 
     @property
     def n(self) -> int:
         return self.triples.shape[0]
-
-    @property
-    def in_deg(self) -> np.ndarray:
-        return self.triples[:, 0]
-
-    @property
-    def out_deg(self) -> np.ndarray:
-        return self.triples[:, 1]
-
-    @property
-    def und_deg(self) -> np.ndarray:
-        return self.triples[:, 2]
-
-    def _total(self, col: int) -> int:
-        """Exact stub total of one column: the int64 sum cannot wrap while
-        n * max < 2^63; past that it is taken over Python ints."""
-        c = self.triples[:, col]
-        if self.n * int(c.max()) < 2**63:
-            return int(c.sum())
-        return sum(c.tolist())
-
-    @property
-    def s_in(self) -> int:
-        return self._total(0)
-
-    @property
-    def s_out(self) -> int:
-        return self._total(1)
-
-    @property
-    def s_und(self) -> int:
-        return self._total(2)
 
 
 def _draw_univariate(dist: JointDegreeDistribution, rng, n: int) -> np.ndarray:
@@ -344,17 +332,6 @@ def distinct_rows(triples):
     return arr[order[starts]], np.diff(np.append(starts, arr.shape[0]))
 
 
-def empirical_atoms(dist: JointDegreeDistribution):
-    """An empirical law's distinct rows, sorted, and their probabilities
-    count / m; built once per law and cached on it."""
-    cached = getattr(dist, "_atom_table", None)
-    if cached is None:
-        atoms, counts = distinct_rows(dist.triples)
-        cached = (atoms, counts / dist.triples.shape[0])
-        object.__setattr__(dist, "_atom_table", cached)
-    return cached
-
-
 def _empirical_marginal_pmf(column: np.ndarray, k: np.ndarray) -> np.ndarray:
     vals, counts = np.unique(column, return_counts=True)
     freq = counts / column.size
@@ -390,7 +367,7 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
             cols = [_univariate_pmf(dist, D[:, c]) for c in range(3)]
         return cols[0] * cols[1] * cols[2]
     if dist.kind == "empirical":
-        atoms, prob = empirical_atoms(dist)
+        atoms, prob = dist.atom_table
         codes, atom_codes = row_codes(D, atoms)
         at = np.minimum(np.searchsorted(atom_codes, codes), atom_codes.size - 1)
         return np.where(atom_codes[at] == codes, prob[at], 0.0)
@@ -479,7 +456,7 @@ def load_degree_file(path) -> np.ndarray:
             if head.startswith(b"# pdgraph n="):
                 from .ingest import pdgraph_from
 
-                rows = pdgraph_from(fh, head).degree_triples().copy()
+                rows = pdgraph_from(fh, head).degree_triples.copy()
             else:
                 rows = read_int_rows(fh, 3, head)
         except ParseError as exc:

@@ -24,7 +24,7 @@ import csv
 import io
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .degrees import (
     COUPLINGS,
@@ -40,7 +40,6 @@ from .matching import match_stubs
 from .metrics import (
     CSV_COLUMNS,
     degree_census,
-    erased_per_vertex,
     proportion_directed,
     total_variation,
 )
@@ -144,7 +143,10 @@ def _config_value(key: str, value: str):
     elif key in ("replicates", "seed", "jobs"):
         value = int(value)
     elif key == "sizes":
-        value = [int(p) for p in value.replace(",", " ").split()]
+        try:
+            value = [int(p) for p in value.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"sizes must be integers, got {value!r}") from None
     elif key not in CONFIG_KEYS:
         raise ValueError(f"unknown key {key!r}; expected one of {CONFIG_KEYS}")
     return _checked(key, value)
@@ -212,7 +214,7 @@ def run_cell(dist: JointDegreeDistribution, label: str, n: int,
         "d_tv": total_variation(degree_census(g), dist),
         "modified_per_vertex": report.modified_vertices / n,
     }
-    row.update(erased_per_vertex(report, n))
+    row.update({key: value / n for key, value in asdict(report).items()})
     row["prop_directed"] = proportion_directed(g)
     return row
 

@@ -89,9 +89,10 @@ def _stub_owners(seq: DegreeSequence, reps: int):
     every graph matched from it (``source_degrees``).
     """
     ids = np.arange(seq.n, dtype=VERTEX_DTYPE)
+    d_in, d_out, d_und = seq.triples.T
     in_drawn = seq.s_in >= seq.s_out
-    drawn, other = (seq.in_deg, seq.out_deg) if in_drawn else (seq.out_deg, seq.in_deg)
-    und, drawn = (np.tile(np.repeat(ids, deg), (reps, 1)) for deg in (seq.und_deg, drawn))
+    drawn, other = (d_in, d_out) if in_drawn else (d_out, d_in)
+    und, drawn = (np.tile(np.repeat(ids, deg), (reps, 1)) for deg in (d_und, drawn))
     return und, drawn, np.repeat(ids, other), in_drawn
 
 

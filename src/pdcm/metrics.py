@@ -14,14 +14,13 @@ by truncating the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .degrees import (
     JointDegreeDistribution,
     distinct_rows,
-    empirical_atoms,
     row_codes,
     triple_probability,
 )
@@ -66,7 +65,7 @@ def census_from_triples(triples) -> DegreeCensus:
 
 def degree_census(g: SimpleGraph) -> DegreeCensus:
     """Per-vertex (incoming, outgoing, undirected) counts, aggregated."""
-    return census_from_triples(g.degree_triples())
+    return census_from_triples(g.degree_triples)
 
 
 def total_variation(census: DegreeCensus, dist: JointDegreeDistribution) -> float:
@@ -81,7 +80,7 @@ def total_variation(census: DegreeCensus, dist: JointDegreeDistribution) -> floa
         raise ValueError("empty census")
     triples, counts = census.triples, census.counts
     if dist.kind == "empirical":
-        atoms, _ = empirical_atoms(dist)
+        atoms, _ = dist.atom_table
         codes, atom_codes = row_codes(triples, atoms)
         union, first = np.unique(np.concatenate([codes, atom_codes]), return_index=True)
         counts = np.zeros(union.size, dtype=np.int64)
@@ -91,13 +90,6 @@ def total_variation(census: DegreeCensus, dist: JointDegreeDistribution) -> floa
     q = counts / census.n
     tail = max(0.0, 1.0 - float(p.sum()))
     return 0.5 * (float(np.abs(p - q).sum()) + tail)
-
-
-def erased_per_vertex(report: ErasureReport, n: int) -> dict:
-    """Each erasure count divided by the vertex count."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return {key: value / n for key, value in asdict(report).items()}
 
 
 def proportion_directed(g: SimpleGraph) -> float:

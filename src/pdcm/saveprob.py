@@ -90,12 +90,17 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     coefficients, multiplied by one factor per other vertex; everything
     stays in exact integer / rational arithmetic.
 
-    Returns a Fraction in [0, 1].  Degenerate inputs (more target stubs
-    than available vertices or matching stubs) have a zero numerator and
-    yield Fraction(0) before any denominator is computed; for the rest
-    every denominator is at least 1, so no input divides by zero.
+    Returns a Fraction in [0, 1].  More target stubs than other vertices
+    yield Fraction(0) before the coefficient table is built; too few
+    matching stubs give a zero numerator and Fraction(0) before any
+    denominator is computed; for the rest every denominator is at least
+    1, so no input divides by zero.
     """
     (d_in, d_out, d_und), others = _split(seq)
+    if d_in + d_out + d_und > len(others):
+        # each other vertex serves at most one tagged stub: 0, before the
+        # (d_in + 1) * (d_out + 1) * (d_und + 1) table is allocated
+        return Fraction(0)
     # coef[x, y, z] = sum over disjoint subsets A, B, C of the others so far (|A| = x,
     # |B| = y, |C| = z) of prod(out_A) * prod(in_B) * prod(und_C), as Python ints
     coef = np.zeros((d_in + 1, d_out + 1, d_und + 1), dtype=object)
@@ -146,7 +151,7 @@ def monte_carlo_save_frequency(seq: DegreeSequence, replicates: int,
     for start in range(0, replicates, chunk):
         reps = min(chunk, replicates - start)
         g, _ = simplify(match_stubs_union(seq, reps, und_rng, drawn_rng))
-        hits += int((g.degree_triples()[::n] == target).all(axis=1).sum())
+        hits += int((g.degree_triples[::n] == target).all(axis=1).sum())
     freq = hits / replicates
     stderr = math.sqrt(freq * (1.0 - freq) / replicates)
     return freq, stderr

@@ -23,6 +23,7 @@ hold the arcs' unordered-pair codes, byte masks and fixed-size chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,21 +174,19 @@ class SimpleGraph:
     def num_undirected(self) -> int:
         return self.und_u.shape[0]
 
+    @cached_property
     def degree_triples(self) -> np.ndarray:
         """(n, 3) int64 array of per-vertex (in, out, und) degrees.
 
-        Computed once and cached; the returned array is marked read-only
+        Computed on first use and kept; the array is marked read-only
         because every caller shares it.
         """
-        deg = getattr(self, "_degree_triples", None)
-        if deg is None:
-            deg, step = np.zeros((self.n, 3), dtype=np.int64), _CHUNK << 4
-            for col, ids in ((0, self.dir_heads), (1, self.dir_tails), (2, self.und_u),
-                             (2, self.und_v)):
-                for i in range(0, ids.size, step):  # bincount copies ids to int64
-                    deg[:, col] += np.bincount(ids[i:i + step], minlength=self.n)
-            deg.setflags(write=False)
-            self._degree_triples = deg
+        deg, step = np.zeros((self.n, 3), dtype=np.int64), _CHUNK << 4
+        for col, ids in ((0, self.dir_heads), (1, self.dir_tails), (2, self.und_u),
+                         (2, self.und_v)):
+            for i in range(0, ids.size, step):  # bincount copies ids to int64
+                deg[:, col] += np.bincount(ids[i:i + step], minlength=self.n)
+        deg.setflags(write=False)
         return deg
 
 
@@ -227,7 +226,7 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     dir_codes, und_codes, dir_parallel, pairs = resolve_arcs(dir_codes, und_codes, n)
     g = SimpleGraph(n, dir_codes, und_codes)
     del dir_codes, und_codes  # before the triples are counted
-    final = g.degree_triples().reshape(-1, src.n, 3)
+    final = g.degree_triples.reshape(-1, src.n, 3)
     modified = int((final != src.triples).any(axis=2).sum())
     report = ErasureReport(
         unconnected_und=unconnected_und,

@@ -198,9 +198,9 @@ def enumerate_save_fraction(seq):
     from pdcm.simplify import simplify
 
     n = seq.n
-    in_stubs = [v for v in range(n) for _ in range(int(seq.in_deg[v]))]
-    out_stubs = [v for v in range(n) for _ in range(int(seq.out_deg[v]))]
-    und_stubs = [v for v in range(n) for _ in range(int(seq.und_deg[v]))]
+    in_stubs = [v for v in range(n) for _ in range(int(seq.triples[v, 0]))]
+    out_stubs = [v for v in range(n) for _ in range(int(seq.triples[v, 1]))]
+    und_stubs = [v for v in range(n) for _ in range(int(seq.triples[v, 2]))]
 
     # directed phase: every injective map of the shorter list into the
     # longer one is equally likely; surplus stubs on the longer side are
@@ -239,7 +239,7 @@ def enumerate_save_fraction(seq):
                 unpaired_und=unpaired_und, source_degrees=seq,
             )
             g, _ = simplify(mg)
-            if g.degree_triples()[0].tolist() == drawn:
+            if g.degree_triples[0].tolist() == drawn:
                 saved += 1
     return Fraction(saved, len(dir_outcomes) * len(und_outcomes))
 
@@ -328,21 +328,22 @@ def monte_carlo_reference(seq, replicates, seed):
     from pdcm.simplify import simplify
 
     ids = np.arange(seq.n)
+    d_in, d_out, d_und = seq.triples.T
     in_drawn = seq.s_in >= seq.s_out
-    drawn_deg, other_deg = (seq.in_deg, seq.out_deg) if in_drawn else (seq.out_deg, seq.in_deg)
+    drawn_deg, other_deg = (d_in, d_out) if in_drawn else (d_out, d_in)
     other = np.repeat(ids, other_deg)
     und_rng, drawn_rng = (make_generator(derive_seed(seed, k)) for k in (0, 1))
     target = seq.triples[0].tolist()
     hits = 0
     for _ in range(replicates):
-        und, drawn = np.repeat(ids, seq.und_deg), np.repeat(ids, drawn_deg)
+        und, drawn = np.repeat(ids, d_und), np.repeat(ids, drawn_deg)
         und_rng.shuffle(und)
         drawn_rng.shuffle(drawn)
         matched = drawn[:other.size]
         arcs = np.stack((other, matched) if in_drawn else (matched, other), axis=1)
         g, _ = simplify(multigraph(seq.n, arcs, und[:und.size // 2 * 2],
                                    source_degrees=seq))
-        hits += g.degree_triples()[0].tolist() == target
+        hits += g.degree_triples[0].tolist() == target
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 

@@ -231,7 +231,7 @@ def test_criterion_6_conservation_invariants_hold_everywhere(sweep):
 def test_criterion_7_power_law_sampler_calibration():
     t0 = time.perf_counter()
     dist = JointDegreeDistribution.scale_free(2.5, "independent")
-    draws = sample_sequence(dist, 10**6, seed=77).in_deg
+    draws = sample_sequence(dist, 10**6, seed=77).triples[:, 0]
     m_star = scale_free_mean(2.5)
     rel_err = abs(draws.mean() - m_star) / m_star
     kmax = int(draws.max())

@@ -325,6 +325,13 @@ class TestExperiment:
         rc, _, err = run(capsys, "experiment", "--config", str(cfg))
         assert rc == 1 and "velocity" in err
 
+    def test_non_integer_sizes_names_the_setting(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc, _, err = run(capsys, "experiment", "--sizes", "100,1e3", "--output", str(out))
+        assert rc == 1
+        assert err == "pdcm: error: sizes must be integers, got '100,1e3'\n"
+        assert not out.exists()
+
 
 class TestComponents:
     def test_two_vertex_undirected_graph_is_one_component(self, tmp_path, capsys):

@@ -410,7 +410,7 @@ def test_non_giant_components_are_singletons_on_livejournal_resample():
     from pdcm.simplify import simplify
 
     g, _ = ingest_path(Path(__file__).parent.parent / "data" / "snap" / LJ)
-    dist = JointDegreeDistribution.empirical(g.degree_triples(), "dependent")
+    dist = JointDegreeDistribution.empirical(g.degree_triples, "dependent")
     seq = sample_sequence(dist, 10**5, seed=2024)
     sg, _ = simplify(match_stubs(seq, seed=2025))
     cs = strongly_connected_components(sg)

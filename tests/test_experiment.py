@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import multiprocessing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,7 @@ class TestConfigFile:
                                 "one of ('independent', 'dependent')"),
         ("sizes = 100, 10", "sizes: sizes must be strictly increasing"),
         ("sizes = 0", "sizes: sizes must be a non-empty list of positive integers"),
+        ("sizes = 100, 1e3", "sizes: sizes must be integers, got '100, 1e3'"),
         (f"sizes = 10 {2**31 + 1}", f"sizes: {2**31 + 1} vertices: the limit is "
                                     f"0..{2**31}, because vertex pairs are encoded "
                                     "as one int64 each"),
@@ -227,7 +229,9 @@ class TestRunCell:
         g, report = simplify(match_stubs(seq, derive_seed(cs, 1)))
         assert row["d_tv"] == total_variation(degree_census(g), dist)
         assert row["modified_per_vertex"] == report.modified_vertices / 200
-        assert row["unconnected_dir"] == report.unconnected_dir / 200
+        # one rate column per report field, each its count per vertex
+        for field in fields(report):
+            assert row[field.name] == getattr(report, field.name) / 200
         assert row["n"] == 200 and row["seed"] == cs
 
     def test_row_covers_schema(self):

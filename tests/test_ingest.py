@@ -160,7 +160,7 @@ class TestFixtureFile:
 
     def test_expected_degrees(self):
         g, _ = ingest_path(DATA / "fixture_edges.txt")
-        assert g.degree_triples().tolist() == [
+        assert g.degree_triples.tolist() == [
             [2, 1, 1],
             [0, 1, 1],
             [2, 0, 2],
@@ -294,7 +294,7 @@ class TestPdgraphRoundTrip:
         path.write_text("# pdgraph n=4\nD 1 2\n")
         h = read_pdgraph(path)
         assert h.n == 4
-        assert h.degree_triples().tolist() == [
+        assert h.degree_triples.tolist() == [
             [0, 1, 0],
             [1, 0, 0],
             [0, 0, 0],
@@ -610,7 +610,7 @@ def test_degree_file_loader_accepts_pdgraph(tmp_path):
     path = tmp_path / "g.pdgraph"
     write_pdgraph(g, path)
     triples = load_degree_file(path)
-    assert triples.tolist() == g.degree_triples().tolist()
+    assert triples.tolist() == g.degree_triples.tolist()
 
 
 # bodies from the characters of the row formats, whole rows of two or

@@ -104,9 +104,11 @@ def test_matching_leaves_no_state_on_the_sequence():
     """The stub arrays are built per matching, not cached on the frozen
     sequence, where they would live as long as its graph."""
     seq = seq_of([(2, 1, 3), (0, 2, 1), (1, 0, 2), (1, 1, 0)])
+    before = {"triples", "s_in", "s_out", "s_und"}
+    assert set(vars(seq)) == before
     match_stubs(seq, seed=1)
     match_stubs_union(seq, 2, make_generator(2), make_generator(3))
-    assert set(vars(seq)) == {"triples"}
+    assert set(vars(seq)) == before
 
 
 def test_vertex_ids_are_32_bit():

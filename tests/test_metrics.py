@@ -12,11 +12,10 @@ from pdcm.metrics import (
     CSV_COLUMNS,
     census_from_triples,
     degree_census,
-    erased_per_vertex,
     proportion_directed,
     total_variation,
 )
-from pdcm.simplify import ErasureReport, simplify
+from pdcm.simplify import simplify
 
 
 def empty_graph(n):
@@ -102,6 +101,28 @@ class TestTotalVariation:
         census = census_from_triples([(1, 1, 0)] * 8)
         assert total_variation(census, dist) == pytest.approx(0.5)
 
+    def test_atom_table_is_built_once_per_law(self, monkeypatch):
+        """An empirical law's atom table is built on first use and kept:
+        two d_tv calls and a triple_probability call count its rows once."""
+        from pdcm import degrees
+
+        original, built = degrees.distinct_rows, []
+
+        def spy(triples):
+            built.append(len(triples))
+            return original(triples)
+
+        dist = JointDegreeDistribution.empirical([(1, 1, 0), (3, 3, 2), (1, 1, 0)],
+                                                 "dependent")
+        census = census_from_triples([(1, 1, 0)] * 8)
+        monkeypatch.setattr(degrees, "distinct_rows", spy)
+        assert total_variation(census, dist) == pytest.approx(1 / 3)
+        assert total_variation(census, dist) == pytest.approx(1 / 3)
+        assert degrees.triple_probability(dist, [(1, 1, 0)]).tolist() == [2 / 3]
+        assert built == [3]
+        atoms, prob = dist.atom_table
+        assert atoms.tolist() == [[1, 1, 0], [3, 3, 2]] and prob.tolist() == [2 / 3, 1 / 3]
+
     def test_empty_census_rejected(self):
         from pdcm.metrics import DegreeCensus
 
@@ -181,22 +202,6 @@ def test_total_variation_equals_reference(model, coupling, shared, outside,
             }[model]()
     assert (total_variation(census_from_triples(rows), dist)
             == total_variation_reference(rows, dist))
-
-
-class TestRates:
-    def test_all_zero(self):
-        r = ErasureReport(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert set(erased_per_vertex(r, 10).values()) == {0.0}
-
-    def test_division(self):
-        r = ErasureReport(0, 0, 0, 0, 0, 0, 0, 5, 0)
-        rates = erased_per_vertex(r, 100)
-        assert rates["reciprocal_pairs_converted"] == pytest.approx(0.05)
-        assert len(rates) == 9
-
-    def test_positive_n_required(self):
-        with pytest.raises(ValueError):
-            erased_per_vertex(ErasureReport(0, 0, 0, 0, 0, 0, 0, 0, 0), 0)
 
 
 class TestProportionDirected:

@@ -22,6 +22,7 @@ from _oracles import (
     exact_by_enumeration,
     monte_carlo_reference,
     save_battery,
+    traced_peak,
 )
 from pdcm import matching, saveprob
 from pdcm.degrees import DegreeSequence
@@ -91,6 +92,10 @@ class TestExactExamples:
     def test_pigeonhole_zero(self):
         spec = S((2, 2, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))
         assert exact_save_probability(spec) == 0
+        # more target stubs than other vertices: 0 before the coefficient
+        # table, 201^3 Python ints here, is allocated
+        p, peak = traced_peak(exact_save_probability, S((200, 200, 200), (1, 1, 1), (1, 1, 1)))
+        assert p == 0 and peak < 1 << 20
 
     def test_no_matching_stubs_zero_without_dividing(self):
         # nobody has an out-stub for the target's in-stub: the numerator

@@ -111,7 +111,7 @@ def test_kernels_in_small_chunks_match_references(n, seed):
                 layout = ("err", str(e))
             else:
                 layout = ("ok", directed_pairs(h).tolist(), undirected_pairs(h).tolist(),
-                          h.degree_triples().tolist())
+                          h.degree_triples.tolist())
         assert expected == (
             r.self_loops_dir, r.self_loops_und, r.parallel_dir, r.parallel_und,
             r.dir_parallel_to_und, r.reciprocal_pairs_converted,
@@ -211,7 +211,10 @@ class TestSimpleGraphType:
 
     def test_degree_triples(self):
         g = simple_graph(3, [0], [1], [1], [2])
-        assert g.degree_triples().tolist() == [[0, 1, 0], [1, 0, 1], [0, 0, 1]]
+        assert g.degree_triples.tolist() == [[0, 1, 0], [1, 0, 1], [0, 0, 1]]
+        # computed once: every read is the same shared, read-only array
+        assert g.degree_triples is g.degree_triples
+        assert not g.degree_triples.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -235,7 +238,7 @@ class TestSimpleGraphType:
                 "ok",
                 directed_pairs(g).tolist(),
                 undirected_pairs(g).tolist(),
-                g.degree_triples().tolist(),
+                g.degree_triples.tolist(),
             )
         assert got == simple_graph_reference(10, *columns)
 

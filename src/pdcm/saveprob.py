@@ -10,18 +10,17 @@ stub type).  This module evaluates that sum exactly in rational
 arithmetic and estimates the same quantity by running the actual
 matching + simplification pipeline, so each route checks the other.
 
-Conventions used throughout:
-
-* stub totals ``s_in``, ``s_out``, ``s_und`` count all n vertices,
-  the tagged one included;
-* ``w = s_in - s_out`` is the surplus of in-stubs over out-stubs and
-  ``v = s_und % 2`` flags the odd undirected stub; both act as pools
-  that absorb stubs which cannot be paired, and enter the denominators
-  like an extra pseudo-vertex;
-* denominators are computed only where the numerator is nonzero, and
-  there each is at least 1: a nonzero numerator needs d_in others with
-  out-stubs, d_out with in-stubs and d_und with undirected stubs, so
-  d_in <= s_out, d_out <= s_in - d_in and 2 * d_und <= s_und.
+The stub totals ``s_in``, ``s_out``, ``s_und`` count all n vertices,
+the tagged one included.  A directed stub meets one of M = max(s_in,
+s_out) places on the other side, the longer side's stubs that are left
+unpaired included, so the in- and out-chains together take d_in + d_out
+consecutive factors down from M: ``math.perm(M, d_in + d_out)``.  The
+undirected chain takes every other factor down from S - 1, where S is
+s_und rounded up to even (an odd total leaves one stub unpaired).  The
+denominators are taken only where the numerator is nonzero, and there
+every factor is at least 1: a nonzero numerator needs d_out others with
+in-stubs and d_und others with undirected stubs, so d_in + d_out <= s_in
+<= M and 2 * d_und <= s_und.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ from .simplify import simplify
 # the memory of one chunk and keeps its vertex count far below the 2^31
 # pair-code limit of the simplifier
 _UNION_BUDGET = 1 << 18
+# cells of the exact oracle's table of Python ints, each about 200 ns per other
+# row: a 101^3-cell table over 300 other rows takes a minute and 350 MB
+_MAX_CELLS = 1 << 20
 
 
 def _split(seq: DegreeSequence):
@@ -50,26 +52,6 @@ def _split(seq: DegreeSequence):
     return target, others
 
 
-def _step_denominators(seq: DegreeSequence):
-    """Per-step denominators of the three attachment chains.
-
-    Step r of a chain conditions on the previous r - 1 attachments, so
-    the matching-stub count shrinks by one per step (two for undirected,
-    which consume a stub at both ends).  The out-stub chain runs after
-    the in-stub chain, hence its pool starts d_in lower.  The w / v pool
-    terms, and why a used denominator is >= 1, are in the module docstring.
-    """
-    d_in, d_out, d_und = seq.triples[0].tolist()
-    s_in, s_out, s_und = seq.s_in, seq.s_out, seq.s_und
-    w = s_in - s_out
-    v = s_und % 2
-
-    den_in = [s_out - r + 1 + max(w, 0) for r in range(1, d_in + 1)]
-    den_out = [s_in - d_in - r + 1 + max(-w, 0) for r in range(1, d_out + 1)]
-    den_und = [s_und - 2 * r + 1 + v for r in range(1, d_und + 1)]
-    return den_in, den_out, den_und
-
-
 def exact_save_probability(seq: DegreeSequence) -> Fraction:
     """Probability that every stub of the tagged vertex is saved.
 
@@ -78,9 +60,11 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     vertex was chosen.  The sum over ordered tuples of distinct indices
     therefore factorizes:
 
-        d_in! * d_out! * d_und! * C / (product of all step denominators)
+        d_in! * d_out! * d_und! * C
+            / (perm(M, d_in + d_out) * (S - 1)(S - 3)...(S - 2 d_und + 1))
 
-    where C is the coefficient of a^d_in * b^d_out * c^d_und in
+    with M and S as in the module docstring, and C the coefficient of
+    a^d_in * b^d_out * c^d_und in
 
         prod over others  (1 + a*out_j + b*in_j + c*und_j),
 
@@ -91,21 +75,28 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     stays in exact integer / rational arithmetic.
 
     Returns a Fraction in [0, 1].  More target stubs than other vertices
-    yield Fraction(0) before the coefficient table is built; too few
-    matching stubs give a zero numerator and Fraction(0) before any
-    denominator is computed; for the rest every denominator is at least
-    1, so no input divides by zero.
+    yield Fraction(0) before the coefficient table is built, and a table
+    of more than _MAX_CELLS cells raises ValueError; too few matching
+    stubs give a zero numerator and Fraction(0) before any denominator
+    is computed; for the rest every denominator is at least 1, so no
+    input divides by zero.
     """
     (d_in, d_out, d_und), others = _split(seq)
     if d_in + d_out + d_und > len(others):
         # each other vertex serves at most one tagged stub: 0, before the
         # (d_in + 1) * (d_out + 1) * (d_und + 1) table is allocated
         return Fraction(0)
+    cells = (d_in + 1) * (d_out + 1) * (d_und + 1)
+    if cells > _MAX_CELLS:
+        raise ValueError(f"target ({d_in}, {d_out}, {d_und}) needs a table of {cells} "
+                         f"cells; the exact oracle holds at most {_MAX_CELLS}")
     # coef[x, y, z] = sum over disjoint subsets A, B, C of the others so far (|A| = x,
     # |B| = y, |C| = z) of prod(out_A) * prod(in_B) * prod(und_C), as Python ints
     coef = np.zeros((d_in + 1, d_out + 1, d_und + 1), dtype=object)
     coef[0, 0, 0] = 1
     for o_in, o_out, o_und in others:
+        if not (d_in and o_out or d_out and o_in or d_und and o_und):
+            continue  # serves no tagged stub: its factor is 1
         # every shift reads coef as it was before this vertex, so the vertex
         # extends at most one of the three subsets: it serves one tagged stub
         grown = coef.copy()
@@ -117,9 +108,12 @@ def exact_save_probability(seq: DegreeSequence) -> Fraction:
     numerator = (math.factorial(d_in) * math.factorial(d_out)
                  * math.factorial(d_und) * coef[d_in, d_out, d_und])
     if numerator == 0:
+        # too few matching stubs: the denominator below may then be 0, as
+        # math.perm(2, 4) is for target (2, 2, 0) among four (0, 0, 0) rows
         return Fraction(0)
-    den_in, den_out, den_und = _step_denominators(seq)
-    return Fraction(numerator, math.prod(den_in + den_out + den_und))
+    even = seq.s_und + seq.s_und % 2
+    return Fraction(numerator, math.perm(max(seq.s_in, seq.s_out), d_in + d_out)
+                    * math.prod(range(even - 1, even - 2 * d_und, -2)))
 
 
 def monte_carlo_save_frequency(seq: DegreeSequence, replicates: int,

@@ -244,6 +244,28 @@ def enumerate_save_fraction(seq):
     return Fraction(saved, len(dir_outcomes) * len(und_outcomes))
 
 
+def step_denominators(seq):
+    """Per-step denominators of the three attachment chains.
+
+    Step r of a chain conditions on the previous r - 1 attachments, so
+    the matching-stub count shrinks by one per step (two for undirected,
+    which consume a stub at both ends).  A stub can also meet a place
+    that stays unpaired: the longer directed side's surplus |w|, where
+    w = s_in - s_out, and the odd undirected stub v = s_und % 2 enter
+    each count like an extra vertex.  The out-stub chain runs after the
+    in-stub chain, hence its count starts d_in lower.
+    """
+    d_in, d_out, d_und = seq.triples[0].tolist()
+    s_in, s_out, s_und = seq.s_in, seq.s_out, seq.s_und
+    w = s_in - s_out
+    v = s_und % 2
+
+    den_in = [s_out - r + 1 + max(w, 0) for r in range(1, d_in + 1)]
+    den_out = [s_in - d_in - r + 1 + max(-w, 0) for r in range(1, d_out + 1)]
+    den_und = [s_und - 2 * r + 1 + v for r in range(1, d_und + 1)]
+    return den_in, den_out, den_und
+
+
 def exact_by_enumeration(seq):
     """Direct sum over every ordered tuple of distinct neighbour indices.
 
@@ -257,8 +279,6 @@ def exact_by_enumeration(seq):
     import math
     from fractions import Fraction
     from itertools import permutations
-
-    from pdcm.saveprob import _step_denominators
 
     (d_in, d_out, d_und), *others = seq.triples.tolist()
     d = d_in + d_out + d_und
@@ -279,7 +299,7 @@ def exact_by_enumeration(seq):
         total += term
     if total == 0:
         return Fraction(0)
-    den_in, den_out, den_und = _step_denominators(seq)
+    den_in, den_out, den_und = step_denominators(seq)
     return Fraction(total, math.prod(den_in) * math.prod(den_out) * math.prod(den_und))
 
 

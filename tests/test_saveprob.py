@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -22,6 +22,7 @@ from _oracles import (
     exact_by_enumeration,
     monte_carlo_reference,
     save_battery,
+    step_denominators,
     traced_peak,
 )
 from pdcm import matching, saveprob
@@ -133,6 +134,11 @@ class TestCrossValidation:
 
     @settings(max_examples=60, deadline=None)
     @given(spec_st)
+    # directed surpluses of 11 either way and an odd undirected total of
+    # 11, which the tiny strategy cannot reach; each answer is nonzero
+    @example(S((2, 1, 0), (6, 1, 0), (6, 1, 0), (1, 1, 0)))
+    @example(S((1, 2, 0), (1, 6, 0), (1, 6, 0), (1, 1, 0)))
+    @example(S((1, 0, 2), (0, 1, 3), (0, 0, 3), (1, 0, 1), (0, 1, 2)))
     def test_factorized_equals_naive_tuple_sum(self, spec):
         assert exact_save_probability(spec) == exact_by_enumeration(spec)
 
@@ -143,7 +149,7 @@ class TestCrossValidation:
         is at least 1: the condition under which it is safe to divide."""
         spec = S(*rows)
         if exact_save_probability(spec) != 0:
-            for dens in saveprob._step_denominators(spec):
+            for dens in step_denominators(spec):
                 assert all(d >= 1 for d in dens)
 
     @settings(max_examples=60, deadline=None)
@@ -273,6 +279,19 @@ class TestSpecValidation:
             exact_save_probability(S((1, 0, 0)))
         with pytest.raises(ValueError, match="at least one"):
             monte_carlo_save_frequency(S((1, 0, 0)), 10, seed=1)
+
+    def test_table_over_the_limit_raises_before_allocating(self):
+        # 102^3 cells, and enough other rows to pass the pigeonhole check
+        spec = S((101, 101, 101), *[(1, 1, 1)] * 303)
+
+        def over_limit():
+            with pytest.raises(ValueError, match=(
+                    r"^target \(101, 101, 101\) needs a table of 1061208 cells; "
+                    r"the exact oracle holds at most 1048576$")):
+                exact_save_probability(spec)
+
+        _, peak = traced_peak(over_limit)
+        assert peak < 1 << 20
 
     def test_rejects_negative_degrees(self):
         with pytest.raises(ValueError, match="non-negative"):

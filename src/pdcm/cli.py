@@ -6,7 +6,8 @@
     pdcm components  strongly connected components of a stored graph
     pdcm oracle      exact vs simulated probability of an unmodified vertex
 
-Exit codes: 0 success, 1 runtime failure (I/O, bad data), 2 usage error.
+Exit codes: 0 success, 1 runtime failure (I/O, bad data, out of memory),
+2 usage error.
 Every run is fully determined by its flags and seed; see the README for
 the seed-derivation rules.
 """
@@ -158,8 +159,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"pdcm: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one is empty
+        print(f"pdcm: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

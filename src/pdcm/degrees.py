@@ -12,10 +12,12 @@ over triples are supported:
   degree-zero vertices never occur under this family.
 * ``poisson``    -- Poisson stub counts.
 
-Each family comes in two couplings.  Under ``independent`` the three
-components of a triple are drawn independently from their marginals; under
-``dependent`` one draw is shared: empirical triples are resampled whole,
-and the synthetic families return (X, X, X) for a single draw X.
+Each family comes in two couplings, which differ only in how many draws
+feed the three columns.  A draw gives one value per vertex: a row index
+into the empirical triples, or a Poisson or scale-free degree.
+``independent`` makes three draws, for in, out and und in that order;
+``dependent`` makes one, shared by all three columns, so empirical triples
+are resampled whole and the synthetic families return (X, X, X).
 """
 from __future__ import annotations
 
@@ -258,7 +260,11 @@ class DegreeSequence:
         return self.triples.shape[0]
 
 
-def _draw_univariate(dist: JointDegreeDistribution, rng, n: int) -> np.ndarray:
+def _draw(dist: JointDegreeDistribution, rng, n: int) -> np.ndarray:
+    """One draw of n values: row indices into an empirical law's triples,
+    else Poisson or scale-free degrees."""
+    if dist.kind == "empirical":
+        return rng.integers(0, dist.triples.shape[0], size=n)
     if dist.kind == "scale_free":
         return _scale_free_bulk(dist.gamma, rng.random(n))
     return rng.poisson(dist.lam, n).astype(np.int64)
@@ -268,32 +274,20 @@ def sample_sequence(dist: JointDegreeDistribution, n: int, seed: int) -> DegreeS
     """Draw n triples i.i.d. from dist; deterministic given (dist, n, seed).
 
     The draw order is part of the contract so runs can be reproduced
-    exactly: independent coupling fills the in column, then out, then und,
-    from a single generator; dependent coupling makes one draw per vertex
-    (whole-row resampling for empirical, a shared value for the synthetic
-    kinds).
+    exactly: from a single generator, independent coupling makes three
+    draws, for the in, out and und columns in that order; dependent
+    coupling makes one, which all three columns share.
     """
     if n < 1:
         raise ValueError("need n >= 1 vertices")
     check_vertex_count(n)
     rng = make_generator(seed)
-    if dist.coupling == "dependent":
-        if dist.kind == "empirical":
-            rows = rng.integers(0, dist.triples.shape[0], size=n)
-            deg = dist.triples[rows]
-        else:
-            x = _draw_univariate(dist, rng, n)
-            deg = np.repeat(x[:, None], 3, axis=1)
-    else:
-        if dist.kind == "empirical":
-            m = dist.triples.shape[0]
-            cols = [
-                dist.triples[rng.integers(0, m, size=n), c] for c in range(3)
-            ]
-        else:
-            cols = [_draw_univariate(dist, rng, n) for _ in range(3)]
-        deg = np.column_stack(cols)
-    return DegreeSequence(deg)
+    draws = [_draw(dist, rng, n) for _ in range(1 if dist.coupling == "dependent" else 3)]
+    cols = [draws[c % len(draws)] for c in range(3)]
+    if dist.kind == "empirical":
+        # take on one column gathers faster than a strided triples[rows, c]
+        cols = [dist.triples[:, c].take(rows) for c, rows in enumerate(cols)]
+    return DegreeSequence(np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +326,15 @@ def distinct_rows(triples):
     return arr[order[starts]], np.diff(np.append(starts, arr.shape[0]))
 
 
-def _empirical_marginal_pmf(column: np.ndarray, k: np.ndarray) -> np.ndarray:
-    vals, counts = np.unique(column, return_counts=True)
-    freq = counts / column.size
-    idx = np.minimum(np.searchsorted(vals, k), vals.size - 1)
-    return np.where(vals[idx] == k, freq[idx], 0.0)
-
-
-def _univariate_pmf(dist: JointDegreeDistribution, k: np.ndarray) -> np.ndarray:
+def _column_pmf(dist: JointDegreeDistribution, c: int, k: np.ndarray) -> np.ndarray:
+    """P(column c = k) at each k: the frequencies of column c of an
+    empirical law, else the Poisson or scale-free pmf, which every column
+    shares."""
+    if dist.kind == "empirical":
+        vals, counts = np.unique(dist.triples[:, c], return_counts=True)
+        freq = counts / dist.triples.shape[0]
+        idx = np.minimum(np.searchsorted(vals, k), vals.size - 1)
+        return np.where(vals[idx] == k, freq[idx], 0.0)
     if dist.kind == "scale_free":
         return _scale_free_pmf(dist.gamma, k)
     if math.exp(-dist.lam) < np.finfo(np.float64).tiny:
@@ -358,21 +353,14 @@ def triple_probability(dist: JointDegreeDistribution, triples) -> np.ndarray:
     """
     D = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if dist.coupling == "independent":
-        if dist.kind == "empirical":
-            cols = [
-                _empirical_marginal_pmf(dist.triples[:, c], D[:, c])
-                for c in range(3)
-            ]
-        else:
-            cols = [_univariate_pmf(dist, D[:, c]) for c in range(3)]
-        return cols[0] * cols[1] * cols[2]
+        return math.prod(_column_pmf(dist, c, D[:, c]) for c in range(3))
     if dist.kind == "empirical":
         atoms, prob = dist.atom_table
         codes, atom_codes = row_codes(D, atoms)
         at = np.minimum(np.searchsorted(atom_codes, codes), atom_codes.size - 1)
         return np.where(atom_codes[at] == codes, prob[at], 0.0)
     diag = (D[:, 0] == D[:, 1]) & (D[:, 1] == D[:, 2])
-    return np.where(diag, _univariate_pmf(dist, D[:, 0]), 0.0)
+    return np.where(diag, _column_pmf(dist, 0, D[:, 0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

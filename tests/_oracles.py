@@ -613,6 +613,26 @@ def poisson_graph(n, seed=1, lam=7):
     return simplify(match_stubs(sample_sequence(dist, n, seed), seed + 1))[0]
 
 
+def dependent_giant_gap(dist, n, seed):
+    """The drawn vertices with X >= 1, less the vertices of the largest SCC,
+    of one graph of a synthetic law under dependent coupling.
+
+    Every vertex is (X, X, X).  One with X = 0 has no stub and is a
+    singleton, so the gap is never negative; one with X >= 1 has an in-,
+    an out- and an undirected stub, and leaves the giant only inside a
+    closed piece, such as two X = 1 vertices joined by their undirected
+    edge whose arcs run between them, of which a graph holds O(1/n).  So
+    the giant SCC's share tends to 1 - P(X = 0), with no threshold."""
+    from pdcm.components import strongly_connected_components
+    from pdcm.degrees import sample_sequence
+    from pdcm.matching import match_stubs
+    from pdcm.simplify import simplify
+
+    seq = sample_sequence(dist, n, seed)
+    g = simplify(match_stubs(seq, seed + 1))[0]
+    return int((seq.triples[:, 0] >= 1).sum()) - int(strongly_connected_components(g).sizes[0])
+
+
 def traced_peak(fn, *args):
     """(fn(*args), the peak of the bytes it allocated and held at once),
     as tracemalloc sees them; numpy reports its array data to tracemalloc."""

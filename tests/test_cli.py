@@ -124,6 +124,25 @@ class TestGenerate:
         assert f"{n * 99999999999999999} stubs" in err and str(2**31) in err
         assert not (tmp_path / "g").exists()
 
+    def test_out_of_memory_is_runtime_error(self, tmp_path):
+        """A size inside the vertex limit whose arrays do not fit in memory
+        exits 1 with one line, not numpy's traceback.  The child caps its
+        own address space at 3 GiB before it imports pdcm, so the 16 GiB
+        Poisson draw fails at once; the cap acts on that child only."""
+        capped = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                  "from pdcm.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "generate", "--model", "poisson",
+             "--lambda", "7", "--coupling", "independent", "--n", str(2**31),
+             "--seed", "1", "--output", str(tmp_path / "g"), "--report", str(tmp_path / "r")],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("pdcm: error: ") and proc.stderr.count("\n") == 1
+        assert "allocate" in proc.stderr
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize("flag,model", [("--gamma", "scale_free"),
                                             ("--lambda", "poisson")])
     @pytest.mark.parametrize("value", ["nan", "inf"])

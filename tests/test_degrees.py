@@ -283,6 +283,35 @@ class TestSampling:
         assert seq.s_in == seq.s_out
         assert seq.triples[:, 0].mean() == pytest.approx(7.0, abs=0.3)
 
+    @pytest.mark.parametrize("coupling", ["independent", "dependent"])
+    @pytest.mark.parametrize("kind", ["poisson", "scale_free", "empirical"])
+    def test_draw_order_contract(self, kind, coupling):
+        """The draws behind each model x coupling, written out on a fresh
+        generator: a draw is g.poisson(lam, n), a scale-free quantile of
+        g.random(n), or a row index g.integers(0, m, n); independent
+        coupling makes three, for in, out and und in that order, and
+        dependent coupling one, shared by the three columns."""
+        n, seed, lam, gamma = 1000, 2027, 3.5, 2.5
+        rows = np.array([(0, 1, 2), (3, 0, 1), (2, 2, 0), (7, 1, 1)])
+        dist = {"poisson": JointDegreeDistribution.poisson(lam, coupling),
+                "scale_free": JointDegreeDistribution.scale_free(gamma, coupling),
+                "empirical": JointDegreeDistribution.empirical(rows, coupling)}[kind]
+        g = make_generator(seed)
+        draw = {"poisson": lambda: g.poisson(lam, n),
+                "scale_free": lambda: _scale_free_bulk(gamma, g.random(n)),
+                "empirical": lambda: g.integers(0, rows.shape[0], size=n)}[kind]
+        if coupling == "dependent":
+            x = draw()
+            expected = rows[x] if kind == "empirical" else np.column_stack([x, x, x])
+        else:
+            ins, outs, unds = draw(), draw(), draw()
+            if kind == "empirical":
+                ins, outs, unds = rows[ins, 0], rows[outs, 1], rows[unds, 2]
+            expected = np.column_stack([ins, outs, unds])
+        got = sample_sequence(dist, n, seed).triples
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
     def test_single_atom_empirical(self):
         dist = JointDegreeDistribution.empirical([(1, 2, 3)], "independent")
         seq = sample_sequence(dist, 5, seed=0)

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .components import strongly_connected_components, write_component_csv
 from .degrees import COUPLINGS, MODELS
-from .experiment import (CONFIG_KEYS, _checked, config_from_mapping, parse_config_file,
+from .experiment import (CONFIG_KEYS, config_from_mapping, parse_config_file,
                          run_experiment, sample_graph)
 from .ingest import ingest_path, read_pdgraph, write_pdgraph
 from .saveprob import (
@@ -43,8 +43,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _settings(args) -> dict:
-    """The CONFIG_KEYS flags that were set, as config-file-style strings."""
-    return {key: str(value) for key in CONFIG_KEYS
+    """The CONFIG_KEYS flags that were set, as argparse made them."""
+    return {key: value for key in CONFIG_KEYS
             if (value := getattr(args, key, None)) is not None}
 
 
@@ -90,8 +90,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _checked("seed", args.seed)
-    _checked("replicates", args.replicates)
+    config_from_mapping(_settings(args))  # checks the seed and replicates
     spec = parse_save_spec(args.spec)
     exact = exact_save_probability(spec)
     freq, stderr = monte_carlo_save_frequency(spec, args.replicates, args.seed)

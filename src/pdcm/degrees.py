@@ -216,6 +216,13 @@ class JointDegreeDistribution:
         atoms, counts = distinct_rows(self.triples)
         return atoms, counts / self.triples.shape[0]
 
+    @cached_property
+    def column_tables(self):
+        """For each column of an empirical law, its distinct values, sorted,
+        and their frequencies count / m; built and kept as atom_table is."""
+        return [(vals, counts / self.triples.shape[0]) for vals, counts in
+                (np.unique(col, return_counts=True) for col in self.triples.T)]
+
     @classmethod
     def empirical(cls, triples, coupling: str) -> "JointDegreeDistribution":
         return cls(kind="empirical", coupling=coupling, triples=np.asarray(triples))
@@ -331,8 +338,7 @@ def _column_pmf(dist: JointDegreeDistribution, c: int, k: np.ndarray) -> np.ndar
     empirical law, else the Poisson or scale-free pmf, which every column
     shares."""
     if dist.kind == "empirical":
-        vals, counts = np.unique(dist.triples[:, c], return_counts=True)
-        freq = counts / dist.triples.shape[0]
+        vals, freq = dist.column_tables[c]
         idx = np.minimum(np.searchsorted(vals, k), vals.size - 1)
         return np.where(vals[idx] == k, freq[idx], 0.0)
     if dist.kind == "scale_free":

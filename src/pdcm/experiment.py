@@ -111,8 +111,21 @@ def model_label(dist: JointDegreeDistribution) -> str:
 
 
 def _checked(key: str, value):
-    """The value of setting key, range-checked: the one check of each
-    setting, for config fields, file lines and flags alike."""
+    """The value of setting key, converted and range-checked: the one
+    check of each setting, for config fields, file lines and flags alike.
+    A str is the setting's text form and is converted first."""
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}; expected one of {CONFIG_KEYS}")
+    if isinstance(value, str):
+        if key in ("lambda", "gamma"):
+            value = float(value)
+        elif key in ("replicates", "seed", "jobs"):
+            value = int(value)
+        elif key == "sizes":
+            try:
+                value = [int(p) for p in value.replace(",", " ").split()]
+            except ValueError:
+                raise ValueError(f"sizes must be integers, got {value!r}") from None
     if key == "model" and value not in MODELS:
         raise ValueError(f"unknown model {value!r}; expected one of {MODELS}")
     if key == "coupling" and value not in COUPLINGS:
@@ -134,22 +147,6 @@ def _checked(key: str, value):
     if key in ("replicates", "jobs") and value < 1:
         raise ValueError(f"need {key} >= 1")
     return value
-
-
-def _config_value(key: str, value: str):
-    """One setting converted from its string form (file value or flag)."""
-    if key in ("lambda", "gamma"):
-        value = float(value)
-    elif key in ("replicates", "seed", "jobs"):
-        value = int(value)
-    elif key == "sizes":
-        try:
-            value = [int(p) for p in value.replace(",", " ").split()]
-        except ValueError:
-            raise ValueError(f"sizes must be integers, got {value!r}") from None
-    elif key not in CONFIG_KEYS:
-        raise ValueError(f"unknown key {key!r}; expected one of {CONFIG_KEYS}")
-    return _checked(key, value)
 
 
 def _read_text(path, newline) -> io.StringIO:
@@ -179,7 +176,7 @@ def parse_config_file(path) -> dict:
         if not eq or not key or not value:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         try:
-            _config_value(key, value)
+            _checked(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
         mapping[key] = value
@@ -187,10 +184,9 @@ def parse_config_file(path) -> dict:
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
-    """Build a config from string-valued settings (file values and/or
-    flag overrides, already merged -- flags simply overwrite file keys)."""
-    return ExperimentConfig(**{("lam" if key == "lambda" else key):
-                               _config_value(key, str(value))
+    """Build a config from config-file keys, each set to its text or its
+    value (file values and flag overrides, merged: a flag overwrites a file key)."""
+    return ExperimentConfig(**{("lam" if key == "lambda" else key): _checked(key, value)
                                for key, value in mapping.items()})
 
 
@@ -223,7 +219,7 @@ _worker_experiment = None  # (dist, label), set in each pool worker
 
 
 def _init_worker(*experiment):
-    """Take the law once per worker, so its atom table is built once."""
+    """Take the law once per worker, so its cached tables are built once."""
     global _worker_experiment
     _worker_experiment = experiment
 

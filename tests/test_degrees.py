@@ -375,6 +375,27 @@ class TestTripleProbability:
         p = triple_probability(dist, [(1, 1, 0), (1, 3, 2), (0, 0, 0)])
         assert p == pytest.approx([0.125, 0.125, 0.0])
 
+    def test_independent_empirical_columns_counted_once(self, monkeypatch):
+        """An empirical law counts each column's values at its first
+        independent triple_probability and keeps them: a second call runs
+        no np.unique, and gives the bits a fresh law gives."""
+        triples = load_degree_file(Path(__file__).parents[1] / "data" / "degrees_10k.txt")
+        rows = sample_sequence(
+            JointDegreeDistribution.empirical(triples, "independent"), 500, 3).triples
+        dist = JointDegreeDistribution.empirical(triples, "independent")
+        triple_probability(dist, rows)
+        calls, unique = [], np.unique
+
+        def counted_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        again = triple_probability(dist, rows)
+        assert calls == []
+        fresh = triple_probability(JointDegreeDistribution.empirical(triples, "independent"), rows)
+        assert again.tobytes() == fresh.tobytes() and fresh.any()
+
     def test_dependent_empirical_is_joint_frequency(self):
         dist = JointDegreeDistribution.empirical(
             [(1, 1, 0), (3, 3, 2), (1, 1, 0)], "dependent"

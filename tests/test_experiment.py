@@ -11,6 +11,7 @@ import pytest
 
 from pdcm.degrees import JointDegreeDistribution, sample_sequence
 from pdcm.experiment import (
+    CONFIG_KEYS,
     DEFAULT_SIZES,
     ExperimentConfig,
     config_from_mapping,
@@ -208,6 +209,36 @@ class TestConfigFile:
     def test_sizes_accept_commas_or_spaces(self):
         assert config_from_mapping({"sizes": "10,20,30"}).sizes == (10, 20, 30)
         assert config_from_mapping({"sizes": "10 20 30"}).sizes == (10, 20, 30)
+
+    def test_text_and_value_give_one_config(self):
+        """Each setting given as its text (a config line) and as the value
+        argparse or a library caller makes builds the same config."""
+        pairs = [
+            ("model", "scale_free", "scale_free"),
+            ("coupling", "dependent", "dependent"),
+            ("lambda", "6.5", 6.5),
+            ("gamma", "3.25", 3.25),
+            ("degrees", "triples.txt", "triples.txt"),
+            ("sizes", "10, 20", (10, 20)),
+            ("sizes", "10 20 40", [10, 20, 40]),
+            ("replicates", "5", 5),
+            ("seed", str(2**64 - 1), 2**64 - 1),
+            ("output", "out.csv", "out.csv"),
+            ("jobs", "2", 2),
+        ]
+        assert {key for key, _, _ in pairs} == set(CONFIG_KEYS)
+        for key, text, value in pairs:
+            assert config_from_mapping({key: text}) == config_from_mapping({key: value})
+
+    def test_fields_given_as_text_are_converted(self):
+        assert (ExperimentConfig(lam="7", seed="3", sizes="10,20")
+                == ExperimentConfig(lam=7.0, seed=3, sizes=(10, 20)))
+
+    def test_field_text_that_is_no_number_is_a_value_error(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+            ExperimentConfig(lam="abc")
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            ExperimentConfig(seed="3.0")
 
 
 def small_config(tmp_path, **kw):

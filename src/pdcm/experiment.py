@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
@@ -126,6 +127,15 @@ def _checked(key: str, value):
                 value = [int(p) for p in value.replace(",", " ").split()]
             except ValueError:
                 raise ValueError(f"sizes must be integers, got {value!r}") from None
+    if key in ("sizes", "replicates", "seed", "jobs"):  # a count, never a float
+        try:
+            if key == "sizes":
+                value = tuple(operator.index(n) for n in value)
+            else:
+                value = operator.index(value)
+        except TypeError:
+            kind = "integers" if key == "sizes" else "an integer"
+            raise ValueError(f"{key} must be {kind}, got {value!r}") from None
     if key == "model" and value not in MODELS:
         raise ValueError(f"unknown model {value!r}; expected one of {MODELS}")
     if key == "coupling" and value not in COUPLINGS:
@@ -135,13 +145,11 @@ def _checked(key: str, value):
     if key == "gamma":
         return check_gamma(value)
     if key == "sizes":
-        sizes = tuple(int(n) for n in value)
-        if not sizes or any(n < 1 for n in sizes):
+        if not value or any(n < 1 for n in value):
             raise ValueError("sizes must be a non-empty list of positive integers")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        if any(b <= a for a, b in zip(value, value[1:])):
             raise ValueError("sizes must be strictly increasing")
-        check_vertex_count(sizes[-1])
-        return sizes
+        check_vertex_count(value[-1])
     if key == "seed" and not 0 <= value < 2**64:
         raise ValueError(f"seed must lie in 0..2^64 - 1, got {value}")
     if key in ("replicates", "jobs") and value < 1:

@@ -44,9 +44,7 @@ class MultiGraph:
 
     ``source_degrees`` is the sequence of one block; the graph is
     ``n // source_degrees.n`` disjoint blocks of it, block j on the vertex
-    ids [j*m, (j+1)*m) for m = ``source_degrees.n``.  The stubs that found
-    no partner (rule (a)) are what the blocks' stub totals hold beyond the
-    paired ones.
+    ids [j*m, (j+1)*m) for m = ``source_degrees.n``.
     """
 
     n: int
@@ -61,22 +59,6 @@ class MultiGraph:
     @property
     def n_und_edges(self) -> int:
         return self.und_codes.shape[0]
-
-    @property
-    def blocks(self) -> int:
-        return self.n // self.source_degrees.n
-
-    @property
-    def leftover_und(self) -> int:
-        return self.blocks * self.source_degrees.s_und - 2 * self.n_und_edges
-
-    @property
-    def leftover_in(self) -> int:
-        return self.blocks * self.source_degrees.s_in - self.n_arcs
-
-    @property
-    def leftover_out(self) -> int:
-        return self.blocks * self.source_degrees.s_out - self.n_arcs
 
 
 def _stub_owners(seq: DegreeSequence, reps: int):

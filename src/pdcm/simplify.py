@@ -212,12 +212,16 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     the drawn one, so a reciprocal conversion marks all involved vertices
     as modified even though their total stub count is unchanged.  Each
     block of a union is compared with the one source sequence, so the
-    report of a union is the sum of its blocks' reports.  mg's codes are
-    sorted in place and dropped here; mg's edge counts still hold.
+    report of a union is the sum of its blocks' reports.  Rule (a)'s
+    unconnected_und and unconnected_dir are the source's stub totals,
+    times the blocks, minus the paired stubs.  mg's codes are sorted in
+    place and dropped here; mg's edge counts still hold.
     """
     n, src = mg.n, mg.source_degrees
     check_vertex_count(n)
-    unconnected_und, unconnected_dir = mg.leftover_und, mg.leftover_in + mg.leftover_out
+    blocks = n // src.n
+    unconnected_und = blocks * src.s_und - 2 * mg.n_und_edges
+    unconnected_dir = blocks * (src.s_in + src.s_out) - 2 * mg.n_arcs
     dir_codes, self_dir = squeeze(mg.arc_codes, n)
     und_codes, self_und = squeeze(mg.und_codes, n)
     parallel_dir = mg.n_arcs - self_dir - dir_codes.size
@@ -226,7 +230,7 @@ def simplify(mg: MultiGraph) -> tuple[SimpleGraph, ErasureReport]:
     dir_codes, und_codes, dir_parallel, pairs = resolve_arcs(dir_codes, und_codes, n)
     g = SimpleGraph(n, dir_codes, und_codes)
     del dir_codes, und_codes  # before the triples are counted
-    final = g.degree_triples.reshape(-1, src.n, 3)
+    final = g.degree_triples.reshape(blocks, src.n, 3)
     modified = int((final != src.triples).any(axis=2).sum())
     report = ErasureReport(
         unconnected_und=unconnected_und,

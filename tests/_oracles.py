@@ -633,6 +633,54 @@ def dependent_giant_gap(dist, n, seed):
     return int((seq.triples[:, 0] >= 1).sum()) - int(strongly_connected_components(g).sizes[0])
 
 
+def predicted_giant_scc(triples, tol=1e-13):
+    """The share of the vertices in the giant SCC that the branching process
+    predicts for degree triples (I, O, U), from the smallest fixed point in
+    [0, 1] of the probabilities that a search dies out:
+
+      a = E[I a^O b^U] / E[I]      forward, from a vertex entered by an arc;
+      b = E[U a^O b^(U-1)] / E[U]  forward, entered by an undirected edge;
+      c = E[O c^I d^U] / E[O]      backward, entered by an arc;
+      d = E[U c^I d^(U-1)] / E[U]  backward, entered by an undirected edge;
+      e = E[U c^I a^O e^(U-1)] / E[U]  both, entered by an undirected edge.
+
+    The share is 1 - E[a^O b^U] - E[c^I d^U] + E[c^I a^O e^U]: a vertex is
+    in the giant when both its searches survive.  The iteration starts
+    from 0, so it climbs to the smallest fixed point, and stops when no
+    probability moves by more than tol; it runs over the distinct rows
+    with their counts.  A probability whose weight has mean 0 stays 0: its
+    base then only ever appears to the power 0."""
+    from pdcm.degrees import distinct_rows
+
+    rows, counts = distinct_rows(triples)
+    i, o, u = rows.T
+    w = counts / counts.sum()
+    u1 = np.maximum(u - 1, 0)  # where u = 0 the weight U is 0 anyway
+
+    def mean(weight, terms):
+        total = w @ weight
+        return (w * weight) @ terms / total if total else 0.0
+
+    p = np.zeros(5)
+    for _ in range(100_000):
+        a, b, c, d, e = p
+        new = np.array([
+            mean(i, a ** o * b ** u),
+            mean(u, a ** o * b ** u1),
+            mean(o, c ** i * d ** u),
+            mean(u, c ** i * d ** u1),
+            mean(u, c ** i * a ** o * e ** u1),
+        ])
+        p, moved = new, np.abs(new - p).max()
+        if moved <= tol:
+            break
+    else:
+        raise RuntimeError("the fixed-point iteration did not converge")
+    a, b, c, d, e = p
+    return float(1 - w @ (a ** o * b ** u) - w @ (c ** i * d ** u)
+                 + w @ (c ** i * a ** o * e ** u))
+
+
 def traced_peak(fn, *args):
     """(fn(*args), the peak of the bytes it allocated and held at once),
     as tracemalloc sees them; numpy reports its array data to tracemalloc."""

@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from _oracles import (
     directed_pairs,
     multigraph,
     poisson_graph,
+    predicted_giant_scc,
     random_simple_graph,
     same_partition,
     scc_reference,
@@ -28,7 +30,7 @@ from pdcm.components import (
     strongly_connected_components,
     write_component_csv,
 )
-from pdcm.degrees import JointDegreeDistribution
+from pdcm.degrees import JointDegreeDistribution, load_degree_file
 from pdcm.experiment import sample_graph
 from pdcm.simplify import simplify
 
@@ -428,20 +430,55 @@ def test_near_critical_giant_grows_with_lambda(seed):
     assert shares[0] < shares[1] < shares[2]
 
 
+# Each bound is |mean| + 4 sd, rounded up, of the measured minus the
+# predicted share on seeds 101-120, measured first at n = 10^5:
+#   Poisson(0.7) independent  mean +0.00034, sd 0.0033  -> 0.014
+#   Poisson(1) independent    mean -0.00004, sd 0.0018  -> 0.0075
+#   Poisson(2) independent    mean -0.00008, sd 0.00022 -> 0.001
+#   scale-free(2.5) indep.    mean +0.00001, sd 0.00004 -> 0.0002
+#   degrees_10k independent   mean  0.00000, sd 0.00004 -> 0.0002
+#   degrees_10k dependent     mean -0.00000, sd 0.00003 -> 0.0002
+# Under dependent coupling the synthetic laws read below a thousandth of
+# a vertex on every seed, so their bound is two vertices: one closed
+# piece such as dependent_giant_gap describes.  Poisson(0.7) lies close
+# to lambda_c = 1/2, where the largest SCC's share spreads widest.
+GIANT_CASES = [
+    ("poisson", 0.7, "independent", 0.014),
+    ("poisson", 1.0, "independent", 0.0075),
+    ("poisson", 2.0, "independent", 0.001),
+    ("poisson", 0.6, "dependent", 2e-5),
+    ("poisson", 1.0, "dependent", 2e-5),
+    ("scale_free", 2.5, "independent", 0.0002),
+    ("scale_free", 2.5, "dependent", 2e-5),
+    ("empirical", None, "independent", 0.0002),
+    ("empirical", None, "dependent", 0.0002),
+]
+
+
+@pytest.mark.parametrize("kind, param, coupling, bound", GIANT_CASES)
+def test_giant_scc_matches_branching_process(kind, param, coupling, bound):
+    """The largest SCC's share of an n = 10^5 graph is the giant-SCC share
+    that the branching process predicts from the graph's own degree
+    triples, on seeds 1-3."""
+    if kind == "empirical":
+        param = load_degree_file(Path(__file__).parents[1] / "data" / "degrees_10k.txt")
+    dist = getattr(JointDegreeDistribution, kind)(param, coupling)
+    for seed in range(1, 4):
+        g, _ = sample_graph(dist, 10**5, seed)
+        measured = strongly_connected_components(g).largest_relative
+        assert abs(measured - predicted_giant_scc(g.degree_triples)) <= bound, seed
+
+
 LJ = "soc-LiveJournal1.txt.gz"
 
 
 @pytest.mark.skipif(
-    not (
-        __import__("pathlib").Path(__file__).parent.parent / "data" / "snap" / LJ
-    ).exists(),
+    not (Path(__file__).parent.parent / "data" / "snap" / LJ).exists(),
     reason=f"data/snap/{LJ} not downloaded (see scripts/fetch_snap.py)",
 )
 def test_non_giant_components_are_singletons_on_livejournal_resample():
     """Graphs rebuilt from a large empirical directed degree sequence leave
     almost nothing between the giant component and the singletons."""
-    from pathlib import Path
-
     from pdcm.degrees import JointDegreeDistribution, sample_sequence
     from pdcm.ingest import ingest_path
     from pdcm.matching import match_stubs

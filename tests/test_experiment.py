@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import multiprocessing
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -239,6 +240,27 @@ class TestConfigFile:
             ExperimentConfig(lam="abc")
         with pytest.raises(ValueError, match="invalid literal for int"):
             ExperimentConfig(seed="3.0")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 3.5, "seed must be an integer, got 3.5"),
+        ("replicates", 2.5, "replicates must be an integer, got 2.5"),
+        ("jobs", 1.5, "jobs must be an integer, got 1.5"),
+        ("sizes", (10.7, 20.2), "sizes must be integers, got (10.7, 20.2)"),
+    ])
+    def test_float_count_is_a_value_error(self, key, value, message):
+        """A count given as a float is refused where the config is built,
+        as a field and as a mapping value.  It is not truncated, nor left
+        to fail in grid() or to reach the worker pool."""
+        for build in (lambda: ExperimentConfig(**{key: value}),
+                      lambda: config_from_mapping({key: value})):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
+    def test_numpy_integer_counts_become_ints(self):
+        c = ExperimentConfig(sizes=np.array([10, 20]), replicates=np.int32(2),
+                             seed=np.uint64(2**64 - 1), jobs=np.int64(2))
+        assert (c.sizes, c.replicates, c.seed, c.jobs) == ((10, 20), 2, 2**64 - 1, 2)
+        assert {type(x) for x in (*c.sizes, c.replicates, c.seed, c.jobs)} == {int}
 
 
 def small_config(tmp_path, **kw):

@@ -42,7 +42,7 @@ def unmatched(mg):
         np.bincount(arcs[:, 0], minlength=n),
         np.bincount(unds.ravel(), minlength=n),
     ], axis=1)
-    return np.tile(mg.source_degrees.triples, (mg.blocks, 1)) - held
+    return np.tile(mg.source_degrees.triples, (n // mg.source_degrees.n, 1)) - held
 
 
 class TestSmallExamples:
@@ -50,19 +50,17 @@ class TestSmallExamples:
         mg = match_stubs(seq_of([(0, 0, 1), (0, 0, 1)]), seed=5)
         assert mg.n_arcs == 0
         assert und_edges_of(mg).tolist() == [[0, 1]]
-        assert (mg.leftover_und, mg.leftover_in, mg.leftover_out) == (0, 0, 0)
+        assert unmatched(mg).tolist() == [[0, 0, 0], [0, 0, 0]]
 
     def test_odd_stub_count_leaves_one_unpaired(self):
         mg = match_stubs(seq_of([(0, 0, 3)]), seed=1)
         assert und_edges_of(mg).tolist() == [[0, 0]]  # forced self-pair
-        assert mg.leftover_und == 1
         assert unmatched(mg).tolist() == [[0, 0, 1]]
 
     def test_surplus_out_stub_recorded(self):
         mg = match_stubs(seq_of([(1, 0, 0), (0, 1, 0), (0, 1, 0)]), seed=0)
         assert mg.n_arcs == 1
         assert arcs_of(mg)[0, 1] == 0
-        assert (mg.leftover_in, mg.leftover_out) == (0, 1)
         assert unmatched(mg).sum(axis=0).tolist() == [0, 1, 0]
 
     def test_tail_choice_is_uniform(self):
@@ -159,13 +157,10 @@ def test_stub_conservation(rows, seed):
     seq = seq_of(rows)
     mg = match_stubs(seq, seed=seed)
     assert mg.n_arcs == min(seq.s_in, seq.s_out)
-    assert mg.leftover_in == max(seq.s_in - seq.s_out, 0)
-    assert mg.leftover_out == max(seq.s_out - seq.s_in, 0)
-    assert mg.leftover_und == seq.s_und % 2
     left = unmatched(mg)
     assert (left >= 0).all()
     assert left.sum(axis=0).tolist() == [
-        mg.leftover_in, mg.leftover_out, mg.leftover_und]
+        max(seq.s_in - seq.s_out, 0), max(seq.s_out - seq.s_in, 0), seq.s_und % 2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,18 +206,18 @@ def test_from_edges_derives_matching_degrees():
         [1, 2, 0],
         [1, 0, 2],
     ]
-    assert (mg.leftover_in, mg.leftover_out, mg.leftover_und) == (0, 1, 1)
+    assert unmatched(mg).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_union_blocks_are_the_separate_matchings():
     """Block j of a union is, shifted by j*n, what the j-th of a run of
-    one-replicate unions on the same two streams draws, and the union's
-    unmatched stubs are reps times one matching's."""
+    one-replicate unions on the same two streams draws, unmatched stubs
+    included."""
     seq = seq_of([(2, 1, 1), (1, 0, 2), (1, 1, 0), (0, 0, 1)])
     n, reps = seq.n, 4
     mg = match_stubs_union(seq, reps, make_generator(3), make_generator(2**63 + 5))
     assert mg.n == reps * n
-    leftovers = (mg.leftover_und, mg.leftover_in, mg.leftover_out)
+    left = unmatched(mg).reshape(reps, n, 3)
     arcs = arcs_of(mg).reshape(reps, -1, 2).astype(np.int64)
     unds = und_edges_of(mg).reshape(reps, -1, 2).astype(np.int64)
     und_rng, drawn_rng = make_generator(3), make_generator(2**63 + 5)
@@ -230,8 +225,8 @@ def test_union_blocks_are_the_separate_matchings():
         one = match_stubs_union(seq, 1, und_rng, drawn_rng)
         assert (arcs[j] - j * n).tolist() == arcs_of(one).tolist()
         assert (unds[j] - j * n).tolist() == und_edges_of(one).tolist()
-    assert leftovers == (reps * one.leftover_und, reps * one.leftover_in,
-                         reps * one.leftover_out) == (0, 8, 0)
+        assert left[j].tolist() == unmatched(one).tolist()
+    assert left.sum(axis=(0, 1)).tolist() == [8, 0, 0]
 
 
 @settings(max_examples=300, deadline=None)

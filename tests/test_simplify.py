@@ -45,7 +45,7 @@ class TestRuleExamples:
         assert r.reciprocal_pairs_converted == 0
         assert edge_sets(g) == (set(), {(0, 1)})
 
-    def test_unconnected_counts_copied_from_matching(self):
+    def test_unconnected_counts_from_stub_totals(self):
         mg = mg_of(4, [(0, 1)], [], unpaired_out=[2], unpaired_und=[3])
         _, r = simplify(mg)
         assert r.unconnected_dir == 1

@@ -26,6 +26,7 @@ import operator
 import os
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 
 from .degrees import (
     COUPLINGS,
@@ -216,7 +217,6 @@ def run_cell(dist: JointDegreeDistribution, label: str, n: int,
         "n": n,
         "seed": cell_seed,
         "d_tv": total_variation(degree_census(g), dist),
-        "modified_per_vertex": report.modified_vertices / n,
     }
     row.update({key: value / n for key, value in asdict(report).items()})
     row["prop_directed"] = proportion_directed(g)
@@ -243,12 +243,14 @@ def _read_completed(path, label: str, coupling: str) -> dict:
     if not os.path.exists(path):
         return completed
     reader = csv.reader(_read_text(path, newline=""))
-    header = next(reader, None)
+    header = next(reader, [])
     if header != list(CSV_COLUMNS):
-        raise ValueError(
-            f"{path}: line 1: existing output has a different column "
-            "layout; refusing to resume into it"
-        )
+        # name the first column that differs, where an older layout parts from this one
+        col, pair = next((i, pair) for i, pair in enumerate(
+            zip_longest(header, CSV_COLUMNS), start=1) if pair[0] != pair[1])
+        got, want = ("no column" if name is None else repr(name) for name in pair)
+        raise ValueError(f"{path}: line 1: existing output has a different column layout: "
+                         f"column {col} is {got}, expected {want}; refusing to resume into it")
     for row in reader:
         try:
             if len(row) != len(CSV_COLUMNS):

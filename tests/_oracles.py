@@ -530,9 +530,10 @@ def total_variation_reference(rows, dist):
     """d_tv over a set of tuples, with a dict census and a dict law.
 
     The set/dict form that the sorted-code ``total_variation`` replaced,
-    kept as the reference it must equal bit for bit: the same union in
-    the same lexicographic order, the same p and q formulas and the same
-    tail term.  ``rows`` are a graph's degree triples, one per vertex.
+    kept as the reference it must equal bit for bit: the same census
+    support in the same lexicographic order, the same p and q formulas
+    and the same tail term.  ``rows`` are a graph's degree triples, one
+    per vertex.
     """
     from collections import Counter
 
@@ -540,10 +541,7 @@ def total_variation_reference(rows, dist):
 
     counts = Counter(tuple(map(int, r)) for r in rows)
     n = sum(counts.values())
-    support = set(counts)
-    if dist.kind == "empirical":
-        support |= {tuple(map(int, row)) for row in dist.triples}
-    triples = np.array(sorted(support), dtype=np.int64)
+    triples = np.array(sorted(counts), dtype=np.int64)
     if dist.kind == "empirical" and dist.coupling == "dependent":
         atoms, atom_counts = np.unique(dist.triples, axis=0, return_counts=True)
         m = dist.triples.shape[0]
@@ -554,6 +552,35 @@ def total_variation_reference(rows, dist):
     q = np.array([counts.get(t, 0) for t in map(tuple, triples)]) / n
     tail = max(0.0, 1.0 - float(p.sum()))
     return 0.5 * (float(np.abs(p - q).sum()) + tail)
+
+
+def total_variation_exact(rows, dist):
+    """The exact d_tv of an empirical law, as a Fraction, summed over the
+    union of the law's rows and the census support.
+
+    p is an atom's frequency among the law's m rows under dependent
+    coupling, and the product of its three column frequencies under
+    independent coupling, whose support (the product of the column
+    supports) the union need not cover: the law's mass outside the union,
+    1 - (the union's mass), is added exactly.
+    """
+    import math
+    from collections import Counter
+    from fractions import Fraction
+
+    counts = Counter(tuple(map(int, r)) for r in rows)
+    n = sum(counts.values())
+    law = [tuple(map(int, r)) for r in dist.triples]
+    m = len(law)
+    support = counts.keys() | set(law)
+    if dist.coupling == "dependent":
+        atoms = Counter(law)
+        p = {t: Fraction(atoms[t], m) for t in support}
+    else:
+        cols = [Counter(col) for col in zip(*law)]
+        p = {t: Fraction(math.prod(c[k] for c, k in zip(cols, t)), m**3) for t in support}
+    return (sum(abs(p[t] - Fraction(counts[t], n)) for t in support)
+            + 1 - sum(p.values())) / 2
 
 
 def int_rows_reference(body: bytes, width: int):

@@ -529,18 +529,19 @@ class TestSeedRange:
     @pytest.mark.parametrize("seed,shas", [
         (0, ("306a02d6cd72b5e29fcf1dbd78ba5ccd9635fc1570d1aed6acdf9dc8c60ef078",
              "dce482c20cc8498e2a6120cb39ba0b682019e68d90960048e305cb8ad74c260f",
-             "4157326c40bfbec091a21f699dd72dfe0ee949aa6cf2b4e6fa693dfc9a7ff809",
+             "df1ba63f7187e480734722afc1e8972246f71e4494e23cf024cdefaafd75d628",
              "15e447e1a363614ff4770454944d1b4e9ca59085fc96cb9a59c6219e2565e552")),
         (2**64 - 1,
          ("cc203ebe1e8fbc4ae56ed6cffaeabb12f61b74368e24366b888423d8e88cab47",
           "53b4fa2100ef9ad885ce3327f7ba049183e44fb4e75452701a16a22da86b929b",
-          "655e649d3d28e008ed6315fe204a98b2177930d1df005b819ee9e09bfe744287",
+          "6baabf91a0049f2bff1bb3765e868c2bbd139ed098f1c67ae85e60159ccdaf9c",
           "ca60dca2a78a765434e4315a76bf3b3afce581f190eadf8bcbd18d4870173f18")),
     ])
     def test_range_ends_keep_their_outputs(self, tmp_path, capsys, seed, shas):
-        """sha256 of the pdgraph, the report and the CSV, recorded before
-        seeds were range-checked, and of the oracle's stdout, recorded when
-        its replicates moved to two streams."""
+        """sha256 of the pdgraph and the report, recorded before seeds were
+        range-checked, of the CSV, recorded when its layout lost the
+        duplicate modified_per_vertex column, and of the oracle's stdout,
+        recorded when its replicates moved to two streams."""
         got = []
         for command in ("generate", "experiment", "oracle"):
             rc, out, _ = run(capsys, *self.argv(command, tmp_path), "--seed", str(seed))
@@ -556,9 +557,9 @@ class TestOutputPins:
     versions of the code (generate and ingest before the sorted pair-code
     kernel, experiment and oracle before the readers and the direction
     share were merged, the oracle when its replicates moved to two
-    streams, the empirical experiments when the model label took the
-    digest of the triples); any change to a random stream, a rule or the
-    file layout moves them."""
+    streams, the experiments when the CSV layout lost the duplicate
+    modified_per_vertex column); any change to a random stream, a rule or
+    the file layout moves them."""
 
     @staticmethod
     def digest(path):
@@ -589,10 +590,10 @@ class TestOutputPins:
     @pytest.mark.parametrize("flags,csv_sha", [
         (("--model", "empirical", "--degrees", "data/degrees_10k.txt",
           "--coupling", "dependent", "--sizes", "50,200", "--seed", "3"),
-         "058a9ab9a69ba4510c3453de402b8d21041096ea68c90eaa3e5f265abb2b64ae"),
+         "fc5459ed361e4f0da876240f3e7c0ed7b4280976fd6b10dcccbb0f61a5802fec"),
         (("--model", "poisson", "--lambda", "5", "--coupling", "independent",
           "--sizes", "30,60", "--seed", "4"),
-         "1e0a88ea5a70db736a44f486e71fd9880251395ba95cf12e21265039c969fe89"),
+         "7a11c58a371740fe98bda5399b9becfe272f861bd59a4b919b0935e0c7095de0"),
     ])
     def test_experiment(self, tmp_path, capsys, flags, csv_sha):
         out = tmp_path / "m.csv"
@@ -612,7 +613,7 @@ class TestOutputPins:
         assert rc == 0
         assert out.read_text().splitlines()[1].endswith(",nan")
         assert self.digest(out) == (
-            "2261cb57d85c95fa3293fa6d0f65ee968567eb5b114002a42c32b2b1e78aa493")
+            "5330243ed2953ebb7699a834bc5ba196d160326eb57b85bcb740196521b8a1f8")
 
     def test_oracle(self, tmp_path, capsys):
         spec = tmp_path / "tri.txt"

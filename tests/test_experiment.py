@@ -281,7 +281,6 @@ class TestRunCell:
         seq = sample_sequence(dist, 200, derive_seed(cs, 0))
         g, report = simplify(match_stubs(seq, derive_seed(cs, 1)))
         assert row["d_tv"] == total_variation(degree_census(g), dist)
-        assert row["modified_per_vertex"] == report.modified_vertices / 200
         # one rate column per report field, each its count per vertex
         for field in fields(report):
             assert row[field.name] == getattr(report, field.name) / 200
@@ -447,6 +446,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="column layout"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("header,column", [
+        # the layout before modified_vertices / n was kept once
+        (CSV_COLUMNS[:5] + ("modified_per_vertex",) + CSV_COLUMNS[5:],
+         "column 6 is 'modified_per_vertex', expected 'unconnected_und'"),
+        (CSV_COLUMNS[:-1], "column 15 is no column, expected 'prop_directed'"),
+        (CSV_COLUMNS + ("extra",), "column 16 is 'extra', expected no column"),
+        ((), "column 1 is no column, expected 'model'"),
+    ], ids=["old-layout", "short", "long", "empty"])
+    def test_layout_refusal_names_first_differing_column(self, tmp_path, header, column):
+        config = small_config(tmp_path)
+        Path(config.output).write_text(",".join(header) + "\n" if header else "")
+        with pytest.raises(ValueError) as exc:
+            run_experiment(config)
+        assert str(exc.value) == (f"{config.output}: line 1: existing output has a "
+                                  f"different column layout: {column}; refusing to "
+                                  "resume into it")
+
     @pytest.mark.parametrize("rows,lineno", [
         ([("a", "b", "c")], 1),
         ([CSV_COLUMNS, ("poisson(5)", "independent", "30")], 2),
@@ -480,7 +496,7 @@ class TestRunExperiment:
             row = list(csv.DictReader(fh))[0]
         cell = run_cell(config.distribution(), model_label(config.distribution()), 40,
                         replicate_seed(config.seed, 0, 0))
-        for col in ("d_tv", "modified_per_vertex", "prop_directed"):
+        for col in ("d_tv", "modified_vertices", "prop_directed"):
             assert float(row[col]) == cell[col]
 
 

@@ -1,12 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import simple_graph, total_variation_reference
-from pdcm.degrees import COUPLINGS, MODELS, JointDegreeDistribution, sample_sequence
+from _oracles import simple_graph, total_variation_exact, total_variation_reference
+from pdcm.degrees import (
+    COUPLINGS,
+    MODELS,
+    JointDegreeDistribution,
+    load_degree_file,
+    sample_sequence,
+)
+from pdcm.experiment import sample_graph
 from pdcm.matching import match_stubs
 from pdcm.metrics import (
     CSV_COLUMNS,
@@ -16,6 +24,21 @@ from pdcm.metrics import (
     total_variation,
 )
 from pdcm.simplify import simplify
+
+
+# The float d_tv against the exact Fraction: over 400 other cells of
+# data/degrees_10k.txt (seeds 100..124, n = 50..10^4, both couplings) the
+# worst relative error was 4.3e-15, as for the union-of-supports form the
+# census-support sum replaced.  It is the rounding of p, q and their sums
+# over up to n terms, so 1e-14 holds that worst case 2.3 times over and
+# still fails any term counted wrong (an error of at least 1/n) or any
+# tail left out.
+EXACT_REL = 1e-14
+
+
+@pytest.fixture(scope="module")
+def degrees_10k():
+    return load_degree_file(Path(__file__).parents[1] / "data" / "degrees_10k.txt")
 
 
 def empty_graph(n):
@@ -51,12 +74,6 @@ class TestCensus:
         cg, ch = degree_census(g), degree_census(h)
         assert cg.triples.tolist() == ch.triples.tolist()
         assert cg.counts.tolist() == ch.counts.tolist()
-
-    def test_counts_must_sum_to_n(self):
-        from pdcm.metrics import DegreeCensus
-
-        with pytest.raises(ValueError):
-            DegreeCensus(np.array([[0, 0, 0]]), np.array([2]), n=3)
 
     def test_frequency_lookup(self):
         c = census_from_triples([(1, 0, 0), (1, 0, 0), (0, 0, 2)])
@@ -123,13 +140,24 @@ class TestTotalVariation:
         atoms, prob = dist.atom_table
         assert atoms.tolist() == [[1, 1, 0], [3, 3, 2]] and prob.tolist() == [2 / 3, 1 / 3]
 
+    def test_independent_law_builds_no_atom_table(self):
+        """An independent empirical law is looked up in its column tables
+        alone: d_tv never builds the table of its distinct rows."""
+        dist = JointDegreeDistribution.empirical([(1, 1, 0), (3, 3, 2), (1, 1, 0)],
+                                                 "independent")
+        rows = [(1, 1, 0)] * 8 + [(3, 1, 0)]
+        assert total_variation(census_from_triples(rows), dist) == pytest.approx(
+            float(total_variation_exact(rows, dist)), rel=EXACT_REL)
+        assert "column_tables" in dist.__dict__
+        assert "atom_table" not in dist.__dict__
+
     def test_empty_census_rejected(self):
         from pdcm.metrics import DegreeCensus
 
         dist = JointDegreeDistribution.poisson(7.0, "independent")
         with pytest.raises(ValueError):
             total_variation(DegreeCensus(np.zeros((0, 3), dtype=np.int64),
-                                         np.zeros(0, dtype=np.int64), n=0), dist)
+                                         np.zeros(0, dtype=np.int64)), dist)
 
     def test_matches_brute_force_double_loop(self):
         """Full-pipeline d_tv against an independent re-implementation
@@ -165,6 +193,29 @@ class TestTotalVariation:
         census = census_from_triples(rows)
         tv = total_variation(census, dist)
         assert 0.0 <= tv <= 1.0
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+@pytest.mark.parametrize("n,seed", [(50, 1), (50, 2), (1000, 3), (10_000, 4)])
+def test_empirical_total_variation_is_exact(degrees_10k, coupling, n, seed):
+    """Empirical d_tv of a sampled graph against Fractions summed over the
+    law's rows and the census support together."""
+    dist = JointDegreeDistribution.empirical(degrees_10k, coupling)
+    g, _ = sample_graph(dist, n, seed)
+    exact = total_variation_exact(g.degree_triples, dist)
+    assert total_variation(degree_census(g), dist) == pytest.approx(float(exact),
+                                                                    rel=EXACT_REL)
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_missed_atoms_fall_in_the_tail(coupling):
+    """Atoms of the law that the census misses, and a census row the law
+    never draws, give the exact d_tv: the missed mass is all tail."""
+    law = [(1, 1, 0), (3, 3, 2), (1, 1, 0), (0, 2, 5), (4, 0, 0)]
+    rows = [(1, 1, 0)] * 5 + [(7, 7, 7)] + [(3, 2, 0)] * 2
+    dist = JointDegreeDistribution.empirical(law, coupling)
+    assert total_variation(census_from_triples(rows), dist) == pytest.approx(
+        float(total_variation_exact(rows, dist)), rel=EXACT_REL)
 
 
 def triples_in(lo, hi):
@@ -225,7 +276,6 @@ def test_csv_column_order():
         "n",
         "seed",
         "d_tv",
-        "modified_per_vertex",
         "unconnected_und",
         "unconnected_dir",
         "self_loops_dir",
